@@ -1,6 +1,8 @@
 """Regenerate Figure 3 — average and P999 latency vs offered load (§3.4).
 
-One benchmark per panel; each sweeps offered load through the DES and checks
+One benchmark per panel; each sweeps offered load through
+``MicroBench.loaded_latency`` — the batched recurrences, with the
+per-event DES as fallback for points whose order guard trips — and checks
 the paper's endpoint behaviour:
 
 * (a)/(c): the 7302's IF is provisioned — latency flat regardless of load;
@@ -11,14 +13,26 @@ the paper's endpoint behaviour:
 
 P999 tails rise with load everywhere (loaded tails underestimate the paper's
 by ~40% — see EXPERIMENTS.md for the known rank-refresh modelling gap).
+
+``bench_fig3_engines`` runs one 9634 panel on both engines: the rendered
+sweep must be byte-identical, and the batched engine at least
+``MIN_SPEEDUP`` times faster in host time (both recorded in
+``BENCH_results.json``).
 """
+
+import time
 
 import pytest
 
+from repro.core.loadgen import ClosedLoopIssuer
 from repro.experiments import fig3
 from repro.transport.message import OpKind
 
 from benchmarks.conftest import emit
+
+#: Floor for the batched-vs-DES host-time multiple on one panel (8-9.5x
+#: measured on panel e, ~6x over all of Figure 3, on a 2-vCPU VM).
+MIN_SPEEDUP = 5.0
 
 _TXN = 1200
 _FRACTIONS = (0.2, 0.5, 0.8)
@@ -110,3 +124,27 @@ def bench_fig3f_plink_cxl_9634(benchmark, p9634):
     assert read.tail_rise() == pytest.approx(1.4, abs=0.15)
     assert write.mean_rise() == pytest.approx(2.1, abs=0.2)
     assert write.tail_rise() == pytest.approx(1.6, abs=0.2)
+
+
+def bench_fig3_engines(benchmark, p9634, monkeypatch, record_timing):
+    """Panel (e) on the batched engine vs the per-event DES."""
+    config = _panel(p9634, "e")
+
+    def render():
+        return fig3.render(list(_sweep_both_ops(p9634, config).values()))
+
+    batched = benchmark.pedantic(render, rounds=1, iterations=1)
+    batched_s = benchmark.stats.stats.min
+    with monkeypatch.context() as patch:
+        patch.setattr(ClosedLoopIssuer, "run_batched", lambda self: None)
+        began = time.perf_counter()
+        des = render()
+        des_s = time.perf_counter() - began
+    emit(batched)
+    speedup = des_s / batched_s
+    record_timing(
+        "bench_fig3_engines", batched_s, des_s=des_s, speedup=speedup,
+        panel="e", transactions_per_core=_TXN,
+    )
+    assert batched == des
+    assert speedup >= MIN_SPEEDUP

@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="pointer-chase iterations per point",
     )
     add("table3", "max bandwidth by sender scope")
-    fig3_cmd = add("fig3", "latency vs offered load (DES sweep)")
+    fig3_cmd = add("fig3", "latency vs offered load (closed-loop sweep)")
     fig3_cmd.add_argument(
         "--transactions", type=int, default=800,
         help="transactions per core per load point",

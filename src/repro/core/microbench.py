@@ -9,7 +9,12 @@
 * :meth:`stream_bandwidth` — maximum-rate streams at core/CCX/CCD/CPU scope
   (Table 3), via the fluid model;
 * :meth:`loaded_latency` — rate-controlled streams with latency sampling
-  (Figure 3), via the transaction-level DES.
+  (Figure 3), via the transaction-level closed-loop issuer.
+
+The closed-loop modes run on the batched recurrences of
+:mod:`repro.sim.batch` when nothing needs the per-event DES, and on the
+DES when something does: a tracer, a fault schedule, strict checking, or
+an order-guard trip. The two engines give bit-identical results.
 """
 
 from __future__ import annotations
@@ -64,14 +69,16 @@ class MicroBench:
         """Dependent-load latency; the level is resolved by working-set size.
 
         For cache-resident working sets the latency is the level's load-to-use
-        time plus timer noise; DRAM/CXL-resident sets run through the DES with
-        a single outstanding transaction, so DRAM jitter shapes the tail.
+        time plus timer noise; DRAM/CXL-resident sets run a single
+        outstanding transaction through the transaction model, so DRAM
+        jitter shapes the tail. One lane is trivially in FIFO order, so
+        that runs on the batched recurrences.
 
-        ``tracer`` (a :class:`repro.trace.Tracer`) attaches to the chase's
-        DES environment and records one span per transaction with per-hop
-        children — the decomposition behind ``repro trace table2``. It is
-        ignored for cache-resident working sets (no DES runs) and never
-        changes the measured statistics.
+        ``tracer`` (a :class:`repro.trace.Tracer`) moves the chase onto
+        the DES, attaches to its environment and records one span per
+        transaction with per-hop children — the decomposition behind
+        ``repro trace table2``. It is ignored for cache-resident working
+        sets (nothing runs) and never changes the measured statistics.
         """
         if iterations < 10:
             raise ConfigurationError("need at least 10 iterations")
@@ -91,12 +98,6 @@ class MicroBench:
             )
             return level, LatencyStats.from_samples(samples.clip(min=0.0))
 
-        env = Environment()
-        if tracer is not None:
-            tracer.attach(env)
-        resolver = PathResolver(env, self.platform, seed=self.seed)
-        flow = f"chase/{position.value}" if target == "dram" else "chase/cxl"
-        executor = TransactionExecutor(env, flow=flow)
         core = self.platform.core(core_id)
         if target == "dram":
             candidates = self.platform.umcs_at(core.ccd_id, position)
@@ -108,21 +109,34 @@ class MicroBench:
                 (umc.umc_id for umc in candidates),
                 key=lambda u: self.platform.dram_latency_ns(core.ccd_id, u),
             )
-            path = resolver.dram_path(core_id, umc_id, remote=remote_socket)
-        elif target == "cxl":
-            path = resolver.cxl_path(core_id)
-        else:
+        elif target != "cxl":
             raise ConfigurationError(f"unknown target {target!r}")
-        issuer = ClosedLoopIssuer(
-            env,
-            executor,
-            path_of_worker=lambda __: path,
-            op=OpKind.READ,
-            workers=1,
-            window=1,                  # pointer chasing: one dependent load
-            count_per_worker=iterations,
-        )
-        result = issuer.run()
+        flow = f"chase/{position.value}" if target == "dram" else "chase/cxl"
+
+        def issuer_on(env: Environment) -> ClosedLoopIssuer:
+            resolver = PathResolver(env, self.platform, seed=self.seed)
+            if target == "dram":
+                path = resolver.dram_path(core_id, umc_id, remote=remote_socket)
+            else:
+                path = resolver.cxl_path(core_id)
+            return ClosedLoopIssuer(
+                env,
+                TransactionExecutor(env, flow=flow),
+                path_of_worker=lambda __: path,
+                op=OpKind.READ,
+                workers=1,
+                window=1,              # pointer chasing: one dependent load
+                count_per_worker=iterations,
+            )
+
+        result = None
+        if tracer is None:
+            result = issuer_on(Environment()).run_batched()
+        if result is None:
+            env = Environment()
+            if tracer is not None:
+                tracer.attach(env)
+            result = issuer_on(env).run()
         return MemoryLevel.DRAM, result.stats
 
     def queueing_probe(
@@ -232,10 +246,13 @@ class MicroBench:
         mid-run through :func:`repro.faults.inject.install`; a null schedule
         leaves the run bit-identical to a healthy one. ``strict`` turns on
         engine time-monotonicity checks and byte-conservation auditing.
+
+        Engine choice depends only on these inputs: a fault-free,
+        non-strict point runs on the batched recurrences
+        (:meth:`ClosedLoopIssuer.run_batched`), which give the DES's result
+        bit for bit; faults, strict mode, and points whose order guard
+        trips run on the per-event DES.
         """
-        env = Environment(strict=strict)
-        resolver = PathResolver(env, self.platform, seed=self.seed)
-        executor = TransactionExecutor(env, strict=strict)
         bw = self.platform.spec.bandwidth
         if window_per_core is None:
             if target == "cxl":
@@ -248,43 +265,55 @@ class MicroBench:
                 window_per_core = bw.effective_random_mlp
             elif pattern is Pattern.POINTER_CHASE:
                 window_per_core = 1
-        if target == "dram":
-            targets = list(umc_ids) if umc_ids else self.fabric.default_umc_ids(
+        if target not in ("dram", "cxl"):
+            raise ConfigurationError(f"unknown target {target!r}")
+        if target == "dram" and not umc_ids:
+            umc_ids = self.fabric.default_umc_ids(
                 StreamSpec("load", op, tuple(core_ids))
             )
-            paths = {
-                i: resolver.dram_path(
-                    core_id, targets[i % len(targets)], op=op,
-                    use_token_pools=use_token_pools,
-                )
-                for i, core_id in enumerate(core_ids)
-            }
-        elif target == "cxl":
-            devices = sorted(self.platform.cxl_devices)
-            paths = {
-                i: resolver.cxl_path(
-                    core_id, devices[i % len(devices)], op=op,
-                    use_token_pools=use_token_pools,
-                )
-                for i, core_id in enumerate(core_ids)
-            }
-        else:
-            raise ConfigurationError(f"unknown target {target!r}")
+
+        def build(env: Environment) -> Tuple[PathResolver, ClosedLoopIssuer]:
+            resolver = PathResolver(env, self.platform, seed=self.seed)
+            if target == "dram":
+                paths = {
+                    i: resolver.dram_path(
+                        core_id, umc_ids[i % len(umc_ids)], op=op,
+                        use_token_pools=use_token_pools,
+                    )
+                    for i, core_id in enumerate(core_ids)
+                }
+            else:
+                devices = sorted(self.platform.cxl_devices)
+                paths = {
+                    i: resolver.cxl_path(
+                        core_id, devices[i % len(devices)], op=op,
+                        use_token_pools=use_token_pools,
+                    )
+                    for i, core_id in enumerate(core_ids)
+                }
+            issuer = ClosedLoopIssuer(
+                env,
+                TransactionExecutor(env, strict=strict),
+                path_of_worker=lambda w: paths[w],
+                op=op,
+                workers=len(core_ids),
+                window=window_per_core,
+                count_per_worker=transactions_per_core,
+                rate_gbps=offered_gbps,
+            )
+            return resolver, issuer
+
+        if fault_schedule is None and not strict:
+            __, issuer = build(Environment())
+            result = issuer.run_batched()
+            if result is not None:
+                return result
+        resolver, issuer = build(Environment(strict=strict))
         if fault_schedule is not None:
             from repro.faults.inject import install
 
             install(resolver, fault_schedule)
-        issuer = ClosedLoopIssuer(
-            env,
-            executor,
-            path_of_worker=lambda w: paths[w],
-            op=op,
-            workers=len(core_ids),
-            window=window_per_core,
-            count_per_worker=transactions_per_core,
-            rate_gbps=offered_gbps,
-        )
         result = issuer.run()
         if strict:
-            executor.assert_conserved(drained=True)
+            issuer.executor.assert_conserved(drained=True)
         return result

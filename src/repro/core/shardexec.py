@@ -21,9 +21,13 @@ per CCD in the canonical contention cell — and runs them on either engine:
   per-window byte accounting flows between shards as genuine lookahead-
   delayed boundary events through numpy event calendars.
 
-Both engines disable DRAM timing jitter (the recurrences are exact only
-for deterministic service), so they model the same system; the residual
-multi-shard disagreement is the replica-partitioning approximation, whose
+The batched recurrences are exact against the DES while every shared
+stage sees its arrivals in FIFO order (the order guard of
+:mod:`repro.sim.batch` counts the ones that do not); DRAM jitter is no
+obstacle, since batched stages draw it at grant time. Both engines here
+disable jitter anyway, so they model the same deterministic system; the
+residual multi-shard disagreement is the replica-partitioning
+approximation plus any out-of-order merges at shared stages, whose
 tolerance the conformance tier documents.
 """
 
@@ -41,8 +45,6 @@ from repro.core.flows import StreamSpec
 from repro.core.loadgen import ClosedLoopIssuer
 from repro.core.partition import ccd_shard_map
 from repro.errors import ConfigurationError, SimulationError
-from repro.memory.umc import UmcServer
-from repro.noc.arbiter import LinkArbiter
 from repro.platform.topology import Platform
 from repro.sim.batch import (
     BatchFlow,
@@ -56,7 +58,7 @@ from repro.sim.calendar import EventCalendar
 from repro.sim.engine import Environment
 from repro.sim.sharded import ShardedEnvironment, default_lookahead_ns
 from repro.transport.message import OpKind
-from repro.transport.path import PathResolver, QueuedStage
+from repro.transport.path import PathResolver
 from repro.transport.transaction import TransactionExecutor
 from repro.units import CACHELINE
 
@@ -268,20 +270,6 @@ def _run_serial_cell(
 # --------------------------------------------------------------- sharded cell
 
 
-def _stage_servers(stage: QueuedStage, is_write: bool) -> int:
-    server = stage.server
-    if isinstance(server, UmcServer):
-        arbiter = server.arbiter
-    elif isinstance(server, LinkArbiter):
-        arbiter = server
-    else:
-        raise ConfigurationError(
-            f"stage {stage.name}: unsupported server for batched execution"
-        )
-    direction = arbiter.write_dir if is_write else arbiter.read_dir
-    return direction.resource.capacity
-
-
 def _stage_channel(stage_name: str, is_write: bool) -> Optional[str]:
     """The fluid channel a stage maps to (None: no bandwidth partition)."""
     direction = "w" if is_write else "r"
@@ -449,7 +437,8 @@ def _run_sharded_cell(
                 batch_stage = registry.get(stage.name)
                 if batch_stage is None:
                     batch_stage = BatchStage(
-                        stage.name, _stage_servers(stage, is_write)
+                        stage.name,
+                        stage.direction(is_write).resource.capacity,
                     )
                     registry[stage.name] = batch_stage
                 service = stage.unloaded_service_ns(CACHELINE, is_write)

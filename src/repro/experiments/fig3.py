@@ -1,8 +1,10 @@
 """Figure 3 — average and P999 latency versus offered load.
 
-Six panels, each a transaction-level DES sweep: rate-controlled sequential
-reads and non-temporal writes from a set of cores toward DRAM or CXL memory,
-with per-transaction latency sampling. Queueing at whichever resource
+Six panels, each a transaction-level closed-loop sweep: rate-controlled
+sequential reads and non-temporal writes from a set of cores toward DRAM or
+CXL memory, with per-transaction latency sampling. Points run on the
+batched recurrences, bit-identical to the per-event DES, which reruns any
+point whose order guard trips (see :meth:`MicroBench.loaded_latency`). Queueing at whichever resource
 saturates (GMI port, UMC channel, hub port/P Link) produces the latency
 rise; DRAM timing jitter produces the P999 tail.
 

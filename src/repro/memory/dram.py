@@ -91,7 +91,16 @@ class DramTimingModel:
         return extra
 
     def sample_batch_ns(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Vectorized :meth:`sample_extra_ns` for ``count`` accesses."""
+        """Additive stalls for ``count`` accesses in one vectorized draw.
+
+        This matches :meth:`sample_extra_ns` in distribution only, not in
+        the stream it produces: it takes all ``count`` selector draws
+        first and then each stall class's durations, where the scalar
+        method interleaves them access by access. The same generator
+        therefore yields different per-access values. Do not use it where
+        a result must equal the DES draw for draw; the batched engine
+        calls :meth:`sample_extra_ns` at grant time instead.
+        """
         draws = rng.random(count)
         extras = np.zeros(count)
         refresh_mask = draws < self.refresh_prob

@@ -1,9 +1,8 @@
 """Batched closed-loop transaction recurrences.
 
-A shard of the sharded engine (:mod:`repro.sim.sharded`) does not need the
-generator machinery of the serial DES to time a closed-loop stream: with
-deterministic per-stage service times, FIFO departure times obey exact
-recurrences. For a single server with constant service ``s``,
+A closed-loop stream does not need the generator machinery of the serial
+DES to be timed: FIFO departure times obey exact recurrences. For a single
+server with constant service ``s``,
 
     ``d_i = max(a_i, d_{i-1}) + s``
 
@@ -21,19 +20,35 @@ lanes, shared stages, shared token pools, a shared pacing gate — by
 processing transactions in lane-ready order and resolving each stage/pool
 constraint against a small heap of in-flight departure times. That is one
 arithmetic pass per transaction instead of the serial engine's ~15 heap
-events, generator frames, and callback sweeps per transaction, and it is
-where the sharded engine's throughput multiple comes from. The lane
+events, generator frames, and callback sweeps per transaction. The lane
 semantics deliberately mirror :class:`repro.core.loadgen.ClosedLoopIssuer`:
 ``window`` lanes per worker, per-lane quota ``divmod(count, window)``, a
 group-wide pacing gate that never falls behind the clock, and the same
 warmup-skip rule.
+
+Two properties make the recurrences exact against the DES rather than an
+approximation of it:
+
+* **Grant-time jitter.** A stage built with a ``jitter`` callable (a UMC
+  or CXL device: ``DramTimingModel.sample_extra_ns`` bound to the
+  resolver's per-device stream) draws its extra service when it grants a
+  transaction, exactly where the DES element draws it. Grants happen in
+  FIFO order, so the draws come off the stream in the DES's order.
+* **The order guard.** Each transaction clears its whole path before the
+  next one is processed, which is FIFO at every stage only while each
+  stage and pool sees its arrivals in non-decreasing time. Every
+  :class:`BatchStage` and :class:`BatchPool` counts the arrivals earlier
+  than the previous one (``order_violations``). A non-zero count means
+  two path shapes overtook each other at a shared element; the result is
+  then not exact and callers rerun the point on the DES (see
+  :meth:`repro.core.loadgen.ClosedLoopIssuer.run_batched`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -146,28 +161,47 @@ class BatchStage:
     service time. Transactions are granted in processing order (the global
     ready order of :func:`simulate_closed_loops`), each starting no earlier
     than the earliest in-flight departure once all servers are busy.
+    ``jitter`` (no arguments, returns ns) is drawn at each grant and added
+    to that transaction's service time, as a DRAM/CXL device does.
     """
 
-    __slots__ = ("name", "servers", "_busy", "busy_ns", "bytes_served")
+    __slots__ = (
+        "name", "servers", "jitter", "_busy", "_last_ready",
+        "order_violations", "busy_ns", "bytes_served",
+    )
 
-    def __init__(self, name: str, servers: int) -> None:
+    def __init__(
+        self,
+        name: str,
+        servers: int,
+        jitter: Optional[Callable[[], float]] = None,
+    ) -> None:
         if servers < 1:
             raise ConfigurationError(
                 f"stage {name}: servers must be >= 1, got {servers}"
             )
         self.name = name
         self.servers = servers
+        self.jitter = jitter
         self._busy: List[float] = []
+        self._last_ready = 0.0
+        #: Arrivals earlier than the previous one: not served in FIFO order.
+        self.order_violations = 0
         self.busy_ns = 0.0
         self.bytes_served = 0
 
     def serve(self, ready_ns: float, service_ns: float) -> float:
         """Grant one transaction arriving at ``ready_ns``; its departure."""
+        if ready_ns < self._last_ready:
+            self.order_violations += 1
+        self._last_ready = ready_ns
         busy = self._busy
         if len(busy) >= self.servers:
             earliest = heappop(busy)
             if earliest > ready_ns:
                 ready_ns = earliest
+        if self.jitter is not None:
+            service_ns = service_ns + self.jitter()
         depart = ready_ns + service_ns
         heappush(busy, depart)
         self.busy_ns += service_ns
@@ -183,7 +217,7 @@ class BatchPool:
     completion once the pool is exhausted.
     """
 
-    __slots__ = ("name", "capacity", "_held")
+    __slots__ = ("name", "capacity", "_held", "_last_ready", "order_violations")
 
     def __init__(self, name: str, capacity: int) -> None:
         if capacity < 1:
@@ -193,9 +227,15 @@ class BatchPool:
         self.name = name
         self.capacity = capacity
         self._held: List[float] = []
+        self._last_ready = 0.0
+        #: Requests earlier than the previous one: not granted in FIFO order.
+        self.order_violations = 0
 
     def gate(self, ready_ns: float) -> float:
         """Earliest time a token is free for a request ready at ``ready_ns``."""
+        if ready_ns < self._last_ready:
+            self.order_violations += 1
+        self._last_ready = ready_ns
         held = self._held
         if len(held) >= self.capacity:
             earliest = heappop(held)
@@ -234,6 +274,20 @@ class BatchFlow:
     warmup_skip: int = 0
     _next_issue_ns: float = field(default=0.0, repr=False)
 
+    def order_violations(self) -> int:
+        """Out-of-order arrivals over this flow's stages and pools.
+
+        Zero means every shared element saw FIFO order, so the timings
+        equal the per-event DES's; anything else means they may not.
+        """
+        elements = {}
+        for lane in self.lanes:
+            for stage, __ in lane.stages:
+                elements[id(stage)] = stage
+            for pool in lane.pools:
+                elements[id(pool)] = pool
+        return sum(element.order_violations for element in elements.values())
+
 
 @dataclass(frozen=True)
 class FlowTiming:
@@ -271,7 +325,9 @@ def simulate_closed_loops(flows: Sequence[BatchFlow]) -> Dict[str, FlowTiming]:
     slot, gates through its token pools, clears its stages, then commits
     its completion back to the pools — the exact lifecycle of
     :meth:`repro.transport.transaction.TransactionExecutor.execute`, as
-    arithmetic instead of events.
+    arithmetic instead of events. A paced issue lands at ``ready + (slot -
+    ready)``, the DES's timeout arithmetic, so issue times match it bit
+    for bit.
     """
     if not flows:
         return {}
@@ -296,6 +352,7 @@ def simulate_closed_loops(flows: Sequence[BatchFlow]) -> Dict[str, FlowTiming]:
         ready, flow_idx, lane_idx = heappop(heap)
         flow = flows[flow_idx]
         lane = flow.lanes[lane_idx]
+        t = ready
         if flow.interval_ns is not None:
             # Claim the group's next pacing slot; pacing never falls
             # behind the clock (matching ClosedLoopIssuer._lane).
@@ -303,9 +360,8 @@ def simulate_closed_loops(flows: Sequence[BatchFlow]) -> Dict[str, FlowTiming]:
             if ready > slot:
                 slot = ready
             flow._next_issue_ns = slot + flow.interval_ns
-            t = slot
-        else:
-            t = ready
+            if slot > ready:
+                t = ready + (slot - ready)
         issue = t
         for pool in lane.pools:
             t = pool.gate(t)

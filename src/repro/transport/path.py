@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional
 
 from repro.errors import TopologyError
-from repro.memory.cxl import CxlDeviceModel
+from repro.memory.cxl import CxlDeviceModel, wire_bytes
 from repro.memory.dram import DramTimingModel
 from repro.memory.umc import UmcServer
 from repro.noc.arbiter import LinkArbiter
@@ -53,26 +53,21 @@ class QueuedStage:
         else:
             raise TopologyError(f"stage {self.name}: unsupported server type")
 
+    def direction(self, is_write: bool):
+        """The FIFO direction server a read or write queues at here."""
+        server = self.server
+        if isinstance(server, (UmcServer, CxlDeviceModel)):
+            server = server.arbiter
+        elif not isinstance(server, LinkArbiter):
+            raise TopologyError(f"stage {self.name}: unsupported server type")
+        return server.write_dir if is_write else server.read_dir
+
     def unloaded_service_ns(self, size_bytes: int, is_write: bool) -> float:
         """Service time with empty queues (used for fixed-latency deduction)."""
-        if isinstance(self.server, LinkArbiter):
-            direction = self.server.write_dir if is_write else self.server.read_dir
-            return direction.service_ns(size_bytes)
-        if isinstance(self.server, UmcServer):
-            direction = (
-                self.server.arbiter.write_dir if is_write
-                else self.server.arbiter.read_dir
-            )
-            return direction.service_ns(size_bytes)
+        direction = self.direction(is_write)
         if isinstance(self.server, CxlDeviceModel):
-            from repro.memory.cxl import wire_bytes
-
-            direction = (
-                self.server.arbiter.write_dir if is_write
-                else self.server.arbiter.read_dir
-            )
-            return direction.service_ns(wire_bytes(size_bytes, self.server.flit_bytes))
-        raise TopologyError(f"stage {self.name}: unsupported server type")
+            size_bytes = wire_bytes(size_bytes, self.server.flit_bytes)
+        return direction.service_ns(size_bytes)
 
 
 @dataclass

@@ -1,7 +1,9 @@
 """Golden snapshots of paper-cell outputs, pinned as committed JSON.
 
 Each golden freezes a reduced-size run of one artifact cell — the Table 2
-column, the Figure 4 partitioning cases, the Figure 4–6 style netstack
+column, the Figure 3 sweeps at ``repro all``'s quick quality (the rendered
+table byte for byte, plus every point's statistics), the Figure 4
+partitioning cases, the Figure 4–6 style netstack
 contention cell (both backends), and the per-hop trace breakdown — so an
 unintended change to any simulated number shows up as a diff against a
 reviewed file, not as silent drift.
@@ -88,6 +90,32 @@ class TestGoldens:
         row = table2.run(platform, iterations=_TABLE2_ITERATIONS, seed=0)
         slug = platform.name.lower().replace(" ", "-")
         _check(f"table2-{slug}", dataclasses.asdict(row), update_goldens)
+
+    def test_fig3_sweeps(self, platform, update_goldens):
+        from repro.experiments import fig3
+        from repro.experiments.summary import QUALITY_PRESETS
+
+        __, transactions, fractions = QUALITY_PRESETS["quick"]
+        sweeps = fig3.run_all(
+            [platform], transactions_per_core=transactions,
+            fractions=fractions, seed=0, jobs=1,
+        )
+        payload = {
+            "render": fig3.render(sweeps),
+            "points": [
+                {
+                    "panel": sweep.config.panel,
+                    "op": sweep.op.value,
+                    "offered_gbps": rate,
+                    "achieved_gbps": result.achieved_gbps,
+                    "stats": dataclasses.asdict(result.stats),
+                }
+                for sweep in sweeps
+                for rate, result in zip(sweep.offered_gbps, sweep.results)
+            ],
+        }
+        slug = platform.name.lower().replace(" ", "-")
+        _check(f"fig3-{slug}", payload, update_goldens)
 
     def test_fig4_partitioning_cases(self, platform, update_goldens):
         from repro.experiments import fig4
