@@ -19,7 +19,8 @@ bench:
 		benchmarks/bench_netstack.py benchmarks/bench_fluid_cache.py \
 		benchmarks/bench_trace.py benchmarks/bench_sharded_des.py \
 		benchmarks/bench_recovery.py benchmarks/bench_kvserve.py \
-		benchmarks/bench_explore.py benchmarks/bench_fig3.py -q
+		benchmarks/bench_explore.py benchmarks/bench_fig3.py \
+		benchmarks/bench_summary.py -q
 
 # Append fresh samples to BENCH_results.json, then fail if any tracked
 # bench got >25% slower than its previous sample (2ms jitter floor).

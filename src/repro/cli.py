@@ -433,7 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     all_cmd = add("all", "regenerate every table and figure in one report")
     all_cmd.add_argument(
         "--quality", default="quick", choices=("quick", "full"),
-        help="DES sample counts: quick (~30 s) or full (minutes)",
+        help="DES sample counts: quick (~1 s) or full (~3 s), cold on 2 "
+             "CPUs with --jobs 2",
     )
     cache_cmd = sub.add_parser(
         "cache", help="inspect or clear the content-addressed result cache"

@@ -28,7 +28,7 @@ panel                      read                    write
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import render_table
 from repro.core.loadgen import LoadResult
@@ -38,9 +38,12 @@ from repro.platform.numa import Position
 from repro.platform.topology import Platform
 from repro.transport.message import OpKind
 
+if TYPE_CHECKING:
+    from repro.runner import Cell
+
 __all__ = [
-    "PanelConfig", "PanelSweep", "run_panel", "run_all", "panel_configs",
-    "render",
+    "PanelConfig", "PanelSweep", "run_panel", "sweep_cells", "run_all",
+    "panel_configs", "render",
 ]
 
 #: Offered-load fractions of the panel's saturation bandwidth; the final
@@ -212,23 +215,20 @@ def run_panel(
     return PanelSweep(config, op, tuple(offered), tuple(results))
 
 
-def run_all(
+def sweep_cells(
     platforms: Sequence[Platform],
     transactions_per_core: int = 600,
     fractions: Sequence[float] = LOAD_FRACTIONS,
     seed: int = 0,
-    jobs=None,
-) -> List[PanelSweep]:
-    """Every (platform, panel, op) sweep, fanned out over worker processes.
+) -> List["Cell"]:
+    """One runner cell per (platform, panel, op) sweep, in canonical order.
 
-    Each sweep is one independent runner cell (its own Environment and seed
-    streams), so the result list is bit-identical for any ``jobs`` value and
-    ordered canonically: platforms in the given order, panels in
-    ``panel_configs`` order, READ before NT_WRITE.
+    Platforms in the given order, panels in ``panel_configs`` order, READ
+    before NT_WRITE. Each cell builds its own Environment and seed streams.
     """
-    from repro.runner import Cell, run_cells
+    from repro.runner import Cell
 
-    cells = [
+    return [
         Cell(
             run_panel,
             (platform, config, op),
@@ -242,7 +242,26 @@ def run_all(
         for config in panel_configs(platform)
         for op in (OpKind.READ, OpKind.NT_WRITE)
     ]
-    return run_cells(cells, jobs=jobs)
+
+
+def run_all(
+    platforms: Sequence[Platform],
+    transactions_per_core: int = 600,
+    fractions: Sequence[float] = LOAD_FRACTIONS,
+    seed: int = 0,
+    jobs=None,
+) -> List[PanelSweep]:
+    """Every :func:`sweep_cells` sweep, fanned out over worker processes.
+
+    The result list is bit-identical for any ``jobs`` value and in
+    :func:`sweep_cells` order.
+    """
+    from repro.runner import run_cells
+
+    return run_cells(
+        sweep_cells(platforms, transactions_per_core, fractions, seed),
+        jobs=jobs,
+    )
 
 
 def export_csv(sweeps: Sequence[PanelSweep], out_dir) -> List[str]:

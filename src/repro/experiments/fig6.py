@@ -41,7 +41,11 @@ __all__ = [
     "run_many",
     "render",
     "PAPER_KNEES",
+    "POINTS",
 ]
+
+#: Offered-load points per interference curve.
+POINTS = 40
 
 #: The paper's interference thresholds: {(scenario, X op, Y op): Y GB/s or
 #: aggregate GB/s as the text quotes them}. None = "rarely affected".
@@ -184,7 +188,7 @@ class Fig6Result:
         raise KeyError((scenario, x_op, y_op))
 
 
-def run(platform: Platform, points: int = 40) -> Fig6Result:
+def run(platform: Platform, points: int = POINTS) -> Fig6Result:
     """Sweep all four (X, Y) combos on every panel."""
     curves: List[Fig6Curve] = []
     for scenario in scenarios_for(platform):
@@ -215,7 +219,7 @@ def run(platform: Platform, points: int = 40) -> Fig6Result:
     return Fig6Result(platform.name, curves)
 
 
-def run_many(platforms, points: int = 40, jobs=None) -> List[Fig6Result]:
+def run_many(platforms, points: int = POINTS, jobs=None) -> List[Fig6Result]:
     """Run Figure 6 on every CXL-equipped platform, fanned out."""
     from repro.runner import starmap
 

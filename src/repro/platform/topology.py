@@ -4,16 +4,15 @@ A :class:`PlatformSpec` bundles everything Table 1 lists about a processor
 (counts, cache sizes, process nodes) together with the calibration constants
 (:class:`LatencyParams`, :class:`BandwidthParams`) that make the simulated
 machine reproduce the paper's measurements. :class:`Platform` materializes the
-spec into component registries, the I/O-die mesh, a link registry, and a
-networkx graph usable for routing and for the device-tree export (§4 #1).
+spec into component registries, the I/O-die mesh and a link registry; its
+networkx connectivity graph (for routing and the device-tree export, §4 #1)
+is built on request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, TopologyError
 from repro.platform.components import (
@@ -29,6 +28,9 @@ from repro.platform.components import (
 )
 from repro.platform.interconnect import LinkKind, LinkSpec
 from repro.platform.numa import Position, classify_position
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 Coord = Tuple[int, int]
 
@@ -299,7 +301,6 @@ class Platform:
         self._links: Dict[str, LinkSpec] = {}
         self._build_components()
         self._build_links()
-        self._graph = self._build_graph()
 
     # ------------------------------------------------------------------ build
 
@@ -442,7 +443,14 @@ class Platform:
             raise ConfigurationError(f"duplicate link {link.name}")
         self._links[link.name] = link
 
-    def _build_graph(self) -> nx.Graph:
+    def graph(self) -> "nx.Graph":
+        """Component connectivity graph, new per call (safe to annotate).
+
+        networkx is imported here, on first use, so importing the package
+        and building or pickling a Platform never load it.
+        """
+        import networkx as nx
+
         graph = nx.Graph()
         for core in self.cores.values():
             graph.add_node(core.name, kind="core")
@@ -500,10 +508,6 @@ class Platform:
     def links_of_kind(self, kind: LinkKind) -> List[LinkSpec]:
         """All links of one LinkKind."""
         return [link for link in self._links.values() if link.kind is kind]
-
-    def graph(self) -> nx.Graph:
-        """Component connectivity graph (copy; safe to annotate)."""
-        return self._graph.copy()
 
     def core(self, core_id: int) -> Core:
         """Look up a core by id (TopologyError if unknown)."""

@@ -1,7 +1,12 @@
 """Tests for figure CSV exports and the one-call reproduction runner."""
 
+from pathlib import Path
+
 import pytest
 
+import repro.cache as cache_module
+import repro.runner as runner
+from repro.cache import ResultCache
 from repro.errors import ConfigurationError
 from repro.experiments import fig3, fig5, fig6, summary
 from repro.transport.message import OpKind
@@ -46,16 +51,67 @@ class TestFig6Export:
         assert len(lines) == 7
 
 
+_REPORT_GOLDEN = (
+    Path(__file__).resolve().parent / "goldens" / "repro-all-quick.txt"
+)
+
+
+@pytest.fixture(scope="module")
+def quick_run(tmp_path_factory):
+    """One cold ``reproduce_all`` (quick, seed 0, jobs=1) into a fresh cache.
+
+    Shared by every TestSummary check so tier-1 pays for one full run;
+    returns the report and the cache it filled.
+    """
+    cache = ResultCache(tmp_path_factory.mktemp("summary-cache"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cache_module, "_default", cache)
+        report = summary.reproduce_all(quality="quick", seed=0, jobs=1)
+    return report, cache
+
+
 class TestSummary:
     def test_unknown_quality_rejected(self):
         with pytest.raises(ConfigurationError):
             summary.reproduce_all(quality="ludicrous")
 
-    def test_quick_report_contains_every_artifact(self):
-        report = summary.reproduce_all(quality="quick")
+    def test_quick_report_contains_every_artifact(self, quick_run):
+        report, __ = quick_run
         for marker in (
             "Table 1", "Table 2", "Table 3",
             "Figure 3", "Figure 4", "Figure 5", "Figure 6",
             "Jain fairness",
         ):
             assert marker in report, marker
+
+    def test_quick_report_matches_golden(self, quick_run, update_goldens):
+        # The whole `repro all` stdout, byte for byte. Refresh
+        # intentionally with --update-goldens.
+        report, __ = quick_run
+        if update_goldens:
+            _REPORT_GOLDEN.write_text(report + "\n", encoding="utf-8")
+            pytest.skip(f"updated {_REPORT_GOLDEN.name}")
+        assert report + "\n" == _REPORT_GOLDEN.read_text(encoding="utf-8")
+
+    def test_report_is_identical_across_jobs(self, quick_run, monkeypatch):
+        report, __ = quick_run
+        monkeypatch.setattr(cache_module, "_default", None)
+        assert summary.reproduce_all(quality="quick", seed=0, jobs=2) == report
+
+    def test_warm_rerun_executes_nothing(self, quick_run, p9634, monkeypatch):
+        report, cache = quick_run
+        # Figure 6 is one of the batch's cells, so the cold run cached it.
+        key = cache.key_for(fig6.run, (p9634,), {"points": fig6.POINTS})
+        assert cache.get(key)[0]
+        monkeypatch.setattr(cache_module, "_default", cache)
+        executed = []
+        original = runner._run_in_process
+
+        def counting(cell, index, attempt):
+            executed.append(cell)
+            return original(cell, index, attempt)
+
+        monkeypatch.setattr(runner, "_run_in_process", counting)
+        warm = summary.reproduce_all(quality="quick", seed=0, jobs=1)
+        assert executed == []
+        assert warm == report

@@ -1,5 +1,10 @@
 """Tests for the platform model: components, links, latencies, geometry."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ConfigurationError, TopologyError
@@ -165,6 +170,32 @@ class TestGraph:
         graph = platform.graph()
         graph.add_node("scribble")
         assert "scribble" not in platform.graph()
+
+
+_LEAN_IMPORT_PROBE = """
+import pickle, sys
+import repro.cli
+from repro.platform.presets import epyc_7302, epyc_9634
+epyc_7302()
+epyc_9634()
+assert "networkx" not in sys.modules, "networkx imported"
+assert b"networkx" not in pickle.dumps(epyc_9634()), "networkx pickled"
+"""
+
+
+def test_cli_import_and_presets_leave_networkx_unloaded():
+    # networkx is imported only by Platform.graph() and the escape-network
+    # deadlock check, so the CLI, the presets and the Platform pickles a
+    # pool worker receives all stay free of it.
+    src = Path(__file__).resolve().parent.parent / "src"
+    completed = subprocess.run(
+        [sys.executable, "-c", _LEAN_IMPORT_PROBE],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert completed.returncode == 0, completed.stderr[-2000:]
 
 
 class TestLatencies:
