@@ -9,7 +9,7 @@
 PYTHON ?= python
 PYTEST  = env PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test bench bench-check lint verify chaos-smoke chaos-recover-smoke shard-smoke serve-smoke kvserve-smoke explore-smoke conformance coverage
+.PHONY: test bench bench-check lint verify chaos-smoke chaos-recover-smoke serve-smoke kvserve-smoke explore-smoke conformance coverage
 
 test:
 	$(PYTEST) -x -q
@@ -17,7 +17,7 @@ test:
 bench:
 	$(PYTEST) benchmarks/bench_engine.py benchmarks/bench_runner.py \
 		benchmarks/bench_netstack.py benchmarks/bench_fluid_cache.py \
-		benchmarks/bench_trace.py benchmarks/bench_sharded_des.py \
+		benchmarks/bench_trace.py \
 		benchmarks/bench_recovery.py benchmarks/bench_kvserve.py \
 		benchmarks/bench_explore.py benchmarks/bench_fig3.py \
 		benchmarks/bench_summary.py -q
@@ -69,14 +69,6 @@ chaos-recover-smoke:
 	timeout 180 env PYTHONPATH=src $(PYTHON) -m repro chaos --platform all \
 		--severity 0 --transactions 50 --recover --no-cache
 	@echo "chaos-recover-smoke: OK"
-
-# A quick serial-vs-sharded engine comparison on the largest cell: runs
-# both engines end to end (window protocol, boundary messages, batched
-# recurrences) and prints the agreement table.
-shard-smoke:
-	timeout 120 env PYTHONPATH=src $(PYTHON) -m repro sharded \
-		--platform 9634 --transactions 100 --no-cache
-	@echo "shard-smoke: OK"
 
 # The persistent simulation service end to end: `repro serve` as a real
 # daemon, a netstack batch submitted twice (the resubmission must be

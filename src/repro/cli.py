@@ -15,7 +15,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from typing import List, Optional, Sequence
@@ -85,20 +84,6 @@ def _severity_arg(text: str) -> float:
     return value
 
 
-def _shards_arg(text: str) -> int:
-    """argparse type for --shards: a positive integer (range-checked later
-    against the platform's CCD count)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def _samples_arg(text: str) -> int:
     """argparse type for --samples: an integer >= 10."""
     try:
@@ -143,12 +128,10 @@ def _platform_names_for(name: str) -> List[str]:
 def _validate_env(parser: argparse.ArgumentParser) -> None:
     """Reject malformed env knobs up front, as usage errors not tracebacks.
 
-    ``REPRO_JOBS`` and ``REPRO_DES_SHARDS`` are read deep inside the
-    runner and the engine selection; a typo there should fail like a bad
-    flag (clean one-line error, exit 2), not as a traceback halfway
-    through a sweep.
+    ``REPRO_JOBS`` is read deep inside the runner; a typo there should
+    fail like a bad flag (clean one-line error, exit 2), not as a
+    traceback halfway through a sweep.
     """
-    from repro.cache import DES_SHARDS_ENV_VAR
     from repro.errors import ConfigurationError
     from repro.runner import JOBS_ENV_VAR, resolve_jobs
 
@@ -156,17 +139,6 @@ def _validate_env(parser: argparse.ArgumentParser) -> None:
         resolve_jobs(None)
     except ConfigurationError as error:
         parser.error(f"${JOBS_ENV_VAR}: {error}")
-    raw = os.environ.get(DES_SHARDS_ENV_VAR, "").strip()
-    if raw:
-        try:
-            shards_ok = int(raw) >= 1
-        except ValueError:
-            shards_ok = False
-        if not shards_ok:
-            parser.error(
-                f"${DES_SHARDS_ENV_VAR} must be a positive integer, "
-                f"got {raw!r}"
-            )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,29 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     netstack_cmd.add_argument(
         "--fail-fast", action="store_true",
         help="abort the comparison on the first cell that fails",
-    )
-    sharded_cmd = add(
-        "sharded",
-        "serial vs sharded DES engine on the contention cell",
-        platform_default="9634",
-    )
-    sharded_cmd.add_argument(
-        "--engine", default="both", choices=("serial", "sharded", "both"),
-        help="which engine(s) to run (default both, for the comparison)",
-    )
-    sharded_cmd.add_argument(
-        "--shards", type=_shards_arg, default=None, metavar="N",
-        help=(
-            "event-loop shards for the sharded engine (default: "
-            "$REPRO_DES_SHARDS, else one per CCD). Unlike --jobs — which "
-            "fans whole cells over processes — shards split one cell's "
-            "event loop and change its results within the documented "
-            "tolerance; shards=1 is bit-identical to serial"
-        ),
-    )
-    sharded_cmd.add_argument(
-        "--transactions", type=int, default=150,
-        help="closed-loop transactions per core (default 150)",
     )
     trace_cmd = add(
         "trace",
@@ -596,11 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="kvstore: requests per serving arm (default 100,000)",
     )
     submit_cmd.add_argument(
-        "--shards", type=_shards_arg, default=None, metavar="N",
-        help="run the batch on the sharded DES engine with N shards "
-             "(cached separately per shard count)",
-    )
-    submit_cmd.add_argument(
         "--recover", action="store_true",
         help="run the batch with the fault-reactive recovery layer enabled",
     )
@@ -659,10 +603,7 @@ def _submit_spec(args, platform_name: str) -> dict:
         "platform": platform_name,
         "seed": args.seed,
         "params": params,
-        "variants": {
-            "des_shards": args.shards,
-            "recovery": bool(args.recover),
-        },
+        "variants": {"recovery": bool(args.recover)},
     }
 
 
@@ -961,28 +902,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 fail_fast=args.fail_fast,
             )
             out.append(netstack.render(platform.name, results))
-
-    elif args.command == "sharded":
-        from repro.experiments import sharded_cell
-
-        engines = (
-            sharded_cell.ENGINES if args.engine == "both" else (args.engine,)
-        )
-        for platform in _platforms_for(args.platform):
-            try:
-                results = sharded_cell.run(
-                    platform,
-                    engines=engines,
-                    shards=args.shards,
-                    seed=args.seed,
-                    transactions_per_core=args.transactions,
-                    jobs=jobs,
-                )
-            except ConfigurationError as error:
-                # An out-of-range shard count (or a bad REPRO_DES_SHARDS
-                # value) is a usage error, not a traceback.
-                build_parser().error(str(error))
-            out.append(sharded_cell.render(platform.name, results))
 
     elif args.command == "kvstore":
         from repro.experiments import kvserve

@@ -305,6 +305,16 @@ class ClosedLoopIssuer:
         stage draws its jitter at grant time from the device's own stream,
         which advances that stream: compile an issuer whose environment
         has not run, and run it on one engine only.
+
+        The stages and pools are private to this one issuer. Flows
+        compiled from several issuers each get their own copies of the
+        shared elements, so they do not contend with one another, and the
+        order guard cannot notice: it only sees arrivals within a stage it
+        owns. Compiled issuer by issuer, the 9634 contention cell (a paced
+        victim plus one hog per other CCD, 150 transactions per core,
+        seed 0) gave the victim 22.9 GB/s against 6.7 GB/s on the DES,
+        with 0 order violations. Multi-issuer cells therefore run on the
+        DES.
         """
         is_write = self.op.is_write
         stages: Dict[int, BatchStage] = {}

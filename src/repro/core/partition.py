@@ -19,28 +19,7 @@ from repro.errors import ConfigurationError
 from repro.fluid.solver import Channel, FluidFlow, Policy, solve
 from repro.transport.message import OpKind
 
-__all__ = ["contend", "CompetingFlows", "InterferenceLink", "ccd_shard_map"]
-
-
-def ccd_shard_map(platform, shards: int) -> Dict[int, int]:
-    """Partition a platform's CCDs over ``shards`` event-loop shards.
-
-    The map assigns contiguous blocks of CCD ids to shards (balanced to
-    within one CCD), which keeps mesh-adjacent dies — and therefore their
-    shared NPS4 memory endpoints — in the same shard: cross-shard traffic
-    is then the genuinely cross-die traffic the lookahead covers. Shard
-    ids are dense in ``[0, shards)``.
-    """
-    ccd_ids = sorted(platform.ccds)
-    if not 1 <= shards <= len(ccd_ids):
-        raise ConfigurationError(
-            f"shard count must be in [1, {len(ccd_ids)}] for "
-            f"{platform.name} ({len(ccd_ids)} CCDs), got {shards}"
-        )
-    return {
-        ccd_id: (index * shards) // len(ccd_ids)
-        for index, ccd_id in enumerate(ccd_ids)
-    }
+__all__ = ["contend", "CompetingFlows", "InterferenceLink"]
 
 
 def contend(

@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from typing import Generator, List, Sequence, Tuple
 
-from repro.errors import FaultInjectionError, SimulationError
+from repro.errors import FaultInjectionError
 from repro.faults.schedule import FaultSchedule
 from repro.noc.arbiter import LinkArbiter, _DirectionServer
 from repro.sim.engine import Event, Process
@@ -121,21 +121,6 @@ def install(resolver: PathResolver, schedule: FaultSchedule) -> List[Process]:
     if schedule.is_null:
         return []
     env = resolver.env
-    # The interposers mutate shared link service state (server rates, lane
-    # resources) with plain attribute writes. Inside a sharded engine those
-    # writes race the other shards' event loops within the lookahead window,
-    # so the outcome would depend on shard interleaving — refuse rather than
-    # silently desynchronize. A single-shard coordinator degenerates to the
-    # serial loop and stays safe.
-    coordinator = getattr(env, "coordinator", None)
-    if coordinator is not None and coordinator.num_shards > 1:
-        raise SimulationError(
-            "fault injection cannot be installed into a ShardedEnvironment "
-            f"with {coordinator.num_shards} shards: rate reshaping and stall "
-            "interposers mutate link service state shared across shards, and "
-            "cross-shard ordering inside the lookahead window is undefined. "
-            "Run fault experiments with num_shards=1 (or the serial engine)."
-        )
     processes: List[Process] = []
     for channel in schedule.channels:
         server = resolve_channel(resolver, channel)

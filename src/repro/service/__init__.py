@@ -18,8 +18,8 @@ Modules
     else by pickle).
 :mod:`~repro.service.registry`
     The submittable cell kinds (``netstack``, ``chaos``, ``trace``): spec
-    normalization, cell building, rendering, and per-job execution
-    variants (sharded engine, recovery layer).
+    normalization, cell building, rendering, and the per-job execution
+    variant (recovery layer).
 :mod:`~repro.service.scheduler`
     The admission queue: strict priority, round-robin fairness across
     clients within a priority, bounded depth with structured retry-after

@@ -30,11 +30,11 @@ experiment layers:
   carried (and validated) for spec uniformity but ignored: each cell's
   platform comes from its generated topology.
 
-Execution *variants* (sharded DES engine, recovery layer) are carried in
-the spec, not in the server's environment: :func:`variant_raws` exposes
-them as the raw strings :func:`repro.cache.cell_key` folds into content
-keys, and :func:`apply_variants` applies them to ``os.environ`` only for
-the duration of one (serialized) batch execution.
+The execution *variant* (the recovery layer) is carried in the spec, not
+in the server's environment: :func:`variant_raws` exposes it as the raw
+string :func:`repro.cache.cell_key` folds into content keys, and
+:func:`apply_variants` applies it to ``os.environ`` only for the duration
+of one (serialized) batch execution.
 """
 
 from __future__ import annotations
@@ -125,21 +125,18 @@ def _normalize_variants(raw: Any) -> Dict[str, Any]:
     if raw is None:
         raw = {}
     _require(isinstance(raw, dict), f"variants must be an object, got {raw!r}")
-    unknown = set(raw) - {"des_shards", "recovery"}
+    unknown = set(raw) - {"recovery"}
     _require(
         not unknown,
         f"unknown variant field(s): {', '.join(sorted(unknown))} "
-        "(accepted: des_shards, recovery)",
+        "(accepted: recovery)",
     )
-    shards = raw.get("des_shards")
-    if shards is not None:
-        shards = _as_int(shards, "variants.des_shards", 1)
     recovery = raw.get("recovery", False)
     _require(
         isinstance(recovery, bool),
         f"variants.recovery must be a boolean, got {recovery!r}",
     )
-    return {"des_shards": shards, "recovery": recovery}
+    return {"recovery": recovery}
 
 
 def _normalize_netstack(params: Dict[str, Any]) -> Dict[str, Any]:
@@ -325,18 +322,15 @@ def normalize_spec(spec: Any) -> Dict[str, Any]:
 # --------------------------------------------------------------- variants
 
 
-def variant_raws(spec: Dict[str, Any]) -> Tuple[Optional[str], Optional[str]]:
-    """The spec's variants as ``(engine_raw, recovery_raw)`` cache-key raws.
+def variant_raws(spec: Dict[str, Any]) -> Dict[str, str]:
+    """The spec's variants as :func:`repro.cache.cell_key` keyword raws.
 
     Matches what :func:`apply_variants` will put in the environment — the
     submit-time cache probe and the execution-time default cache must key
     identically or warm hits would silently miss (or worse, collide).
     """
     variants = spec.get("variants") or {}
-    shards = variants.get("des_shards")
-    engine_raw = "" if shards is None else str(shards)
-    recovery_raw = "1" if variants.get("recovery") else ""
-    return engine_raw, recovery_raw
+    return {"recovery_raw": "1" if variants.get("recovery") else ""}
 
 
 @contextlib.contextmanager
@@ -347,27 +341,21 @@ def apply_variants(spec: Dict[str, Any]) -> Iterator[None]:
     time for exactly this reason): the environment is process-global, and
     the experiment layers read it at cell-execution time.
     """
-    from repro.cache import DES_SHARDS_ENV_VAR, RECOVERY_ENV_VAR
+    from repro.cache import RECOVERY_ENV_VAR
 
-    engine_raw, recovery_raw = variant_raws(spec)
-    saved = {
-        name: os.environ.get(name)
-        for name in (DES_SHARDS_ENV_VAR, RECOVERY_ENV_VAR)
-    }
+    value = variant_raws(spec)["recovery_raw"]
+    saved = os.environ.get(RECOVERY_ENV_VAR)
     try:
-        for name, value in ((DES_SHARDS_ENV_VAR, engine_raw),
-                            (RECOVERY_ENV_VAR, recovery_raw)):
-            if value:
-                os.environ[name] = value
-            else:
-                os.environ.pop(name, None)
+        if value:
+            os.environ[RECOVERY_ENV_VAR] = value
+        else:
+            os.environ.pop(RECOVERY_ENV_VAR, None)
         yield
     finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+        if saved is None:
+            os.environ.pop(RECOVERY_ENV_VAR, None)
+        else:
+            os.environ[RECOVERY_ENV_VAR] = saved
 
 
 # ------------------------------------------------------------------ cells

@@ -10,10 +10,10 @@ One :class:`ReproService` owns:
   priority + per-client fairness + bounded depth with structured
   ``queue-full`` rejection;
 * a single-thread executor the dispatcher feeds one job at a time.
-  Serialization is load-bearing, not a simplification: execution
-  variants (sharded engine, recovery layer) apply to the process-global
-  environment (:func:`repro.service.registry.apply_variants`), so two
-  batches with different variants must never overlap. Parallelism lives
+  Serialization is load-bearing, not a simplification: the execution
+  variant (the recovery layer) applies to the process-global environment
+  (:func:`repro.service.registry.apply_variants`), so two batches with
+  different variants must never overlap. Parallelism lives
   *inside* a batch (the runner's ``--jobs`` fan-out), not across batches;
 * a shared warm :class:`repro.cache.ResultCache`: submissions are probed
   against it (without charging hits) so clients learn up front how much
@@ -312,16 +312,13 @@ class ReproService:
         # Probe the warm cache (no hit/miss charged) so the client learns
         # immediately how much of the batch is already satisfied, and so
         # trace artifacts can be addressed by content key later.
-        engine_raw, recovery_raw = variant_raws(spec)
+        raws = variant_raws(spec)
         cached: Dict[int, str] = {}
         keys: Dict[int, Optional[str]] = {}
         for index, cell in enumerate(cells):
             key = None
             if self.cache is not None:
-                key = self.cache.key_for(
-                    cell.fn, cell.args, cell.kwargs,
-                    engine_raw=engine_raw, recovery_raw=recovery_raw,
-                )
+                key = self.cache.key_for(cell.fn, cell.args, cell.kwargs, **raws)
                 if key is not None and self.cache.contains(key):
                     cached[index] = key
             keys[index] = key

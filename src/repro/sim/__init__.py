@@ -7,7 +7,6 @@ experiments (Table 2, Figure 3); the sustained-bandwidth experiments use the
 fluid model in :mod:`repro.fluid` instead.
 """
 
-from repro.sim.calendar import EventCalendar
 from repro.sim.engine import (
     AllOf,
     AnyOf,
@@ -19,27 +18,16 @@ from repro.sim.engine import (
     Timeout,
 )
 from repro.sim.rng import SplitRng, make_rng
-from repro.sim.sharded import (
-    ShardEnvironment,
-    ShardMessage,
-    ShardedEnvironment,
-    default_lookahead_ns,
-)
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "Environment",
     "Event",
-    "EventCalendar",
     "Process",
     "Resource",
-    "ShardEnvironment",
-    "ShardMessage",
-    "ShardedEnvironment",
     "Store",
     "Timeout",
     "SplitRng",
     "make_rng",
-    "default_lookahead_ns",
 ]

@@ -14,15 +14,10 @@ sequence number breaks ties).
 
 **Ordering contract.** The event queue holds ``(time, seq, event)`` tuples
 and pops them in ascending tuple order, so the total order of a simulation
-is fully determined by ``(time, seq)``. ``seq`` is *shard-stable*: an
-environment draws its sequence numbers from the arithmetic progression
-``seq_offset + k * seq_step`` (defaults ``0 + k * 1``). A serial run and a
-:mod:`repro.sim.sharded` run therefore draw from disjoint, interleavable
-progressions — shard ``i`` of ``N`` uses ``offset=i, step=N`` — which makes
-the merged event order of N shards directly comparable with (and for one
-shard identical to) the serial order. Anything that influences results must
-flow through ``(time, seq)``: callbacks run in list order, and no code may
-depend on heap internals beyond this contract.
+is fully determined by ``(time, seq)``, where ``seq`` counts ``1, 2, 3...``
+in scheduling order. Anything that influences results must flow through
+``(time, seq)``: callbacks run in list order, and no code may depend on
+heap internals beyond this contract.
 
 Every class on the hot path declares ``__slots__`` — a simulation allocates
 millions of short-lived events, and slotted instances are both smaller and
@@ -130,7 +125,7 @@ class Timeout(Event):
         self.callbacks = []
         self._value = value
         self._ok = True
-        env._sequence = sequence = env._sequence + env._seq_step
+        env._sequence = sequence = env._sequence + 1
         _heappush(env._queue, (env._now + delay, sequence, self))
 
 
@@ -240,28 +235,13 @@ class Environment:
     — and therefore every simulation result — is identical either way.
     """
 
-    __slots__ = ("_now", "_queue", "_sequence", "_seq_step", "strict", "tracer")
+    __slots__ = ("_now", "_queue", "_sequence", "strict", "tracer")
 
-    def __init__(
-        self,
-        initial_time: float = 0.0,
-        strict: bool = False,
-        seq_offset: int = 0,
-        seq_step: int = 1,
-    ) -> None:
-        if seq_step < 1 or seq_offset < 0 or seq_offset >= seq_step:
-            raise SimulationError(
-                f"invalid sequence progression: offset={seq_offset}, "
-                f"step={seq_step} (need 0 <= offset < step)"
-            )
+    def __init__(self, initial_time: float = 0.0, strict: bool = False) -> None:
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, Event]] = []
-        #: Shard-stable sequence counter (see the module ordering contract):
-        #: sequence numbers are drawn from ``seq_offset + k * seq_step``, so
-        #: shard ``i`` of ``N`` (``offset=i, step=N``) never collides with a
-        #: sibling shard and the defaults reproduce the serial ``1, 2, 3...``.
-        self._sequence = seq_offset
-        self._seq_step = seq_step
+        #: Tie-break counter of the module ordering contract.
+        self._sequence = 0
         self.strict = bool(strict)
         #: Optional :class:`repro.trace.Tracer`. ``None`` (the default) is
         #: the null fast path: instrumented components branch on it once
@@ -275,7 +255,7 @@ class Environment:
         return self._now
 
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        self._sequence = sequence = self._sequence + self._seq_step
+        self._sequence = sequence = self._sequence + 1
         _heappush(self._queue, (self._now + delay, sequence, event))
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:

@@ -23,7 +23,6 @@ from repro.trace.tracer import (
     Span,
     TraceRecording,
     Tracer,
-    merge_recordings,
 )
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "NULL_TRACER",
     "Span",
     "TraceRecording",
-    "merge_recordings",
     "chrome_trace",
     "dumps",
     "event_count",

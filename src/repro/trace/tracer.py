@@ -43,7 +43,6 @@ __all__ = [
     "NullTracer",
     "NULL_TRACER",
     "TraceRecording",
-    "merge_recordings",
 ]
 
 
@@ -203,45 +202,6 @@ class Tracer:
             sorted(self._closed, key=lambda span: (span["ts"], span["seq"]))
         )
         return TraceRecording(spans=spans, dropped_open=self._open, meta=meta)
-
-
-def merge_recordings(recordings) -> TraceRecording:
-    """Merge per-shard recordings into one deterministic recording.
-
-    Each shard of a sharded run (:mod:`repro.sim.sharded`) traces into its
-    own :class:`Tracer`, so every recording carries its own dense ``seq``
-    progression ``1, 2, 3, …``. The merge remaps recording ``i`` of ``n``
-    onto the shard-stable progression ``seq * n + i`` — the same disjoint
-    arithmetic-progression trick the engine's ordering contract uses — so
-    remapped sequence numbers never collide across shards, parent links
-    stay internally consistent, and the merged ``(ts, seq)`` sort is a
-    pure function of the input recordings (in order), independent of how
-    shard windows interleaved in wall time.
-
-    ``dropped_open`` counts add; per-recording ``meta`` dicts are kept
-    under ``meta["shards"]`` alongside ``meta["merged"]``.
-    """
-    recordings = list(recordings)
-    if not recordings:
-        return TraceRecording(spans=(), meta={"merged": 0, "shards": []})
-    count = len(recordings)
-    merged: List[Dict[str, Any]] = []
-    for index, recording in enumerate(recordings):
-        for span in recording.spans:
-            remapped = dict(span)
-            remapped["seq"] = span["seq"] * count + index
-            if span.get("parent") is not None:
-                remapped["parent"] = span["parent"] * count + index
-            merged.append(remapped)
-    merged.sort(key=lambda span: (span["ts"], span["seq"]))
-    return TraceRecording(
-        spans=tuple(merged),
-        dropped_open=sum(r.dropped_open for r in recordings),
-        meta={
-            "merged": count,
-            "shards": [dict(r.meta) for r in recordings],
-        },
-    )
 
 
 class NullTracer:

@@ -13,6 +13,7 @@ from repro.cache import (
     ResultCache,
     Uncacheable,
     cache_enabled_by_env,
+    cell_key,
     code_fingerprint,
     default_cache,
     set_default_cache,
@@ -127,6 +128,13 @@ class TestResultCache:
     def test_root_from_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path / "store"))
         assert ResultCache().root == tmp_path / "store"
+
+    def test_key_ignores_des_shards_env(self, monkeypatch):
+        # No process-global variable may silently decide a cell's key.
+        monkeypatch.delenv("REPRO_DES_SHARDS", raising=False)
+        unset = cell_key(_square, (3,), {})
+        monkeypatch.setenv("REPRO_DES_SHARDS", "4")
+        assert cell_key(_square, (3,), {}) == unset
 
     def test_code_fingerprint_stable_in_process(self):
         assert code_fingerprint() == code_fingerprint()

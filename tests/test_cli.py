@@ -345,16 +345,7 @@ class TestEnvValidation:
         assert excinfo.value.code == 2
         assert "$REPRO_JOBS" in capsys.readouterr().err
 
-    def test_bad_shards_env_is_a_usage_error(self, monkeypatch, capsys):
-        for raw in ("soup", "0", "-3"):
-            monkeypatch.setenv("REPRO_DES_SHARDS", raw)
-            with pytest.raises(SystemExit) as excinfo:
-                main(["table1"])
-            assert excinfo.value.code == 2
-            assert "$REPRO_DES_SHARDS" in capsys.readouterr().err
-
     def test_valid_env_values_accepted(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_JOBS", "auto")
-        monkeypatch.setenv("REPRO_DES_SHARDS", "2")
         assert main(["table1"]) == 0
         assert "Zen 2" in capsys.readouterr().out

@@ -12,9 +12,7 @@ import pytest
 
 from repro.core.fabric import FabricModel
 from repro.core.flows import StreamSpec
-from repro.errors import ConfigurationError, SimulationError
-from repro.faults.inject import install as install_faults
-from repro.faults.schedule import FaultEvent, FaultSchedule
+from repro.errors import ConfigurationError
 from repro.net.inject import NetInstallation
 from repro.net.multipath import MultipathSelector
 from repro.net.qos import AdmissionController
@@ -29,7 +27,6 @@ from repro.net.recovery import (
 )
 from repro.net.stack import NetStackConfig
 from repro.sim.engine import Environment
-from repro.sim.sharded import ShardedEnvironment
 from repro.transport.message import OpKind
 from repro.transport.path import PathResolver
 from repro.transport.transaction import TransactionExecutor
@@ -464,26 +461,3 @@ class TestRecoveryGateFailover:
         assert installation.registry.get("umc1").read_bytes == 64
         installation.assert_credits_home()
 
-
-class TestShardedFaultGuard:
-    def _schedule(self):
-        return FaultSchedule(
-            [FaultEvent.failure("umc0:r", start=100.0, factor=0.05)]
-        )
-
-    def test_multi_shard_install_is_refused(self, p7302):
-        sharded = ShardedEnvironment(2, lookahead_ns=50.0)
-        resolver = PathResolver(sharded.shard(0), p7302)
-        with pytest.raises(SimulationError, match="2 shards"):
-            install_faults(resolver, self._schedule())
-
-    def test_single_shard_install_is_allowed(self, p7302):
-        sharded = ShardedEnvironment(1, lookahead_ns=50.0)
-        resolver = PathResolver(sharded.shard(0), p7302)
-        processes = install_faults(resolver, self._schedule())
-        assert processes
-
-    def test_null_schedule_ignores_sharding(self, p7302):
-        sharded = ShardedEnvironment(4, lookahead_ns=50.0)
-        resolver = PathResolver(sharded.shard(0), p7302)
-        assert install_faults(resolver, FaultSchedule([])) == []

@@ -208,6 +208,14 @@ class TestEnvironment:
         env.run()
         assert order == ["a", "b", "c"]
 
+    def test_default_progression_is_serial(self):
+        env = Environment()
+        seqs = []
+        for _ in range(3):
+            Timeout(env, 0.0)
+            seqs.append(env._sequence)
+        assert seqs == [1, 2, 3]
+
     def test_failed_awaited_event_propagates(self):
         env = Environment()
 
