@@ -31,8 +31,12 @@ Hardening
 count and duration) instead of raising mid-flight, and layers on
 
 * **per-cell timeouts** (``timeout_s``) — a cell whose result does not
-  arrive in time is recorded as a timeout failure instead of hanging the
-  whole sweep (pool mode only: in-process execution cannot be preempted);
+  arrive within ``timeout_s`` of its dispatch to a worker is recorded as a
+  timeout failure instead of hanging the whole sweep (pool mode only:
+  in-process execution cannot be preempted);
+* **cancellation** (``cancel``) — once the event is set, no further cell
+  is dispatched, in-process or to a worker: every cell not yet started
+  resolves as a ``cancelled`` failure, and started cells finish normally;
 * **bounded retry with backoff** (``retries``, ``backoff_s``) — failed
   cells are re-submitted to a fresh pool, with exponentially growing
   sleeps between attempts;
@@ -63,8 +67,8 @@ import os
 import pickle
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as _FuturesTimeout
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -96,6 +100,10 @@ USE_DEFAULT_CACHE = object()
 #: pickling); sweeps cheaper than this run serially instead (see
 #: ``pool_threshold_s``).
 POOL_THRESHOLD_S = 0.05
+
+#: Longest wait of a pool batch between looks at its cancel event while
+#: timed-out cells hold every worker and other cells are queued.
+_CANCEL_POLL_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -238,6 +246,28 @@ def _run_in_process(cell: Cell, index: int, attempt: int) -> CellResult:
     )
 
 
+def _collected(
+    future: Future, index: int, attempt: int, submitted: float
+) -> CellResult:
+    """The outcome of one finished pool future (``BrokenProcessPool`` raises)."""
+    try:
+        value = future.result()
+    except BrokenProcessPool:
+        raise
+    except Exception as exc:
+        # The cell itself raised inside the worker.
+        return CellResult(
+            index,
+            failure=CellFailure(index, "error", exc, attempt),
+            attempts=attempt,
+            duration_s=time.perf_counter() - submitted,
+        )
+    return CellResult(
+        index, value=value, attempts=attempt,
+        duration_s=time.perf_counter() - submitted,
+    )
+
+
 def _run_batch_pooled(
     cells: Sequence[Cell],
     indices: Sequence[int],
@@ -249,90 +279,115 @@ def _run_batch_pooled(
     """Run ``indices`` in one worker pool; None if no pool can be created.
 
     The pool is created fresh per attempt, so a retry after a crash or a
-    poisoned interpreter state starts clean. Results are collected in
-    submission order; a ``BrokenProcessPool`` on any future switches the
-    remaining cells to in-process execution (the ISSUE's "re-run only the
-    failed cells, in-process"), which preserves every surviving cell's
-    value exactly as ``jobs=1`` would compute it.
+    poisoned interpreter state starts clean. Dispatch is lazy: at most one
+    cell per worker is in flight, results are collected in completion
+    order, and the next cell is submitted only when a slot frees and
+    ``cancel`` is not set — so a cancel resolves every cell no worker has
+    started as ``cancelled``. (Cancelling submitted futures cannot do
+    that: the executor marks queued calls running before a worker takes
+    them, and ``Future.cancel()`` then refuses.) Each cell's ``timeout_s``
+    deadline counts from its own submission; a timed-out cell keeps its
+    slot until its worker returns, so no later cell is charged for it.
+
+    A ``BrokenProcessPool`` switches every uncollected cell to in-process
+    execution (or ``cancelled``, once ``cancel`` is set), which preserves
+    every surviving cell's value exactly as ``jobs=1`` would compute it; a
+    cell that was in a worker when the pool broke and fails its re-run too
+    is reported as a ``crash``.
     """
+    slots = min(workers, len(indices))
     try:
-        pool = ProcessPoolExecutor(max_workers=min(workers, len(indices)))
+        pool = ProcessPoolExecutor(max_workers=slots)
     except (OSError, PermissionError):
         # Sandboxed or fork-restricted environments: no pool at all. This —
         # and only this — is the graceful-degradation case; errors raised
         # *inside* a cell must never trigger it.
         return None
     outcomes: Dict[int, CellResult] = {}
+    queued = deque(indices)
+    in_flight: Dict[Future, Tuple[int, float]] = {}     # -> (index, submitted)
+    overdue: set = set()        # timed out, still holding a worker
     broken = False
     try:
-        futures = {
-            index: pool.submit(
-                cells[index].fn, *cells[index].args, **cells[index].kwargs
-            )
-            for index in indices
-        }
+        while True:
+            if cancel is not None and cancel.is_set():
+                while queued:
+                    index = queued.popleft()
+                    outcomes[index] = _cancelled_result(index, attempt)
+            while queued and len(in_flight) < slots:
+                index = queued.popleft()
+                cell = cells[index]
+                future = pool.submit(cell.fn, *cell.args, **cell.kwargs)
+                in_flight[future] = (index, time.perf_counter())
+            live = [f for f in in_flight if f not in overdue]
+            if not live and not queued:
+                break
+            budget = None
+            if live and timeout_s is not None:
+                first = min(in_flight[f][1] for f in live)
+                budget = max(0.0, first + timeout_s - time.perf_counter())
+            elif not live and cancel is not None:
+                # Overdue cells hold every slot: wake now and then to notice
+                # a cancel meant for the queued cells.
+                budget = _CANCEL_POLL_S
+            done, _ = wait(in_flight, timeout=budget, return_when=FIRST_COMPLETED)
+            for future in done:
+                index, submitted = in_flight[future]
+                if future in overdue:
+                    overdue.discard(future)
+                else:
+                    outcomes[index] = _collected(
+                        future, index, attempt, submitted
+                    )
+                del in_flight[future]
+            if timeout_s is None:
+                continue
+            now = time.perf_counter()
+            for future, (index, submitted) in in_flight.items():
+                if future in overdue or future.done():
+                    continue
+                if now - submitted >= timeout_s:
+                    overdue.add(future)
+                    error = CellExecutionError(
+                        f"cell {index} produced no result within {timeout_s}s",
+                        cell_index=index,
+                        attempts=attempt,
+                    )
+                    outcomes[index] = CellResult(
+                        index,
+                        failure=CellFailure(index, "timeout", error, attempt),
+                        attempts=attempt,
+                        duration_s=now - submitted,
+                    )
+    except BrokenProcessPool:
+        # A worker died (OOM kill, segfault, os._exit) and poisoned every
+        # uncollected future: re-run the rest in-process. For a cell that
+        # was in a worker, a failed re-run reports the worker death — the
+        # context that matters for it.
+        broken = True
+        crashed = set()
+        for future, (index, submitted) in in_flight.items():
+            if index in outcomes:
+                continue
+            if future.done() and not isinstance(
+                future.exception(), BrokenProcessPool
+            ):
+                # It finished before the pool broke: its own outcome stands.
+                outcomes[index] = _collected(future, index, attempt, submitted)
+            else:
+                crashed.add(index)
         for index in indices:
-            cancelled = cancel is not None and cancel.is_set()
-            if cancelled and futures[index].cancel():
-                # Not yet started in a worker: report it cancelled instead
-                # of waiting for a result that will never be wanted.
+            if index in outcomes:
+                continue
+            if cancel is not None and cancel.is_set():
                 outcomes[index] = _cancelled_result(index, attempt)
                 continue
-            if broken:
-                if cancelled:
-                    outcomes[index] = _cancelled_result(index, attempt)
-                else:
-                    outcomes[index] = _run_in_process(
-                        cells[index], index, attempt
-                    )
-                continue
-            started = time.perf_counter()
-            try:
-                value = futures[index].result(timeout=timeout_s)
-            except BrokenProcessPool:
-                # The worker died (OOM kill, segfault, os._exit). Everything
-                # not yet collected is poisoned; fall back to in-process for
-                # this cell and the rest of the batch. If the re-run fails
-                # too, report it as a crash — the worker death is the context
-                # that matters for this cell.
-                broken = True
-                rerun = _run_in_process(cells[index], index, attempt)
-                if not rerun.ok:
-                    rerun = CellResult(
-                        index,
-                        failure=CellFailure(
-                            index, "crash", rerun.failure.error, attempt
-                        ),
-                        attempts=attempt,
-                        duration_s=rerun.duration_s,
-                    )
-                outcomes[index] = rerun
-            except _FuturesTimeout:
-                futures[index].cancel()
-                error = CellExecutionError(
-                    f"cell {index} produced no result within {timeout_s}s",
-                    cell_index=index,
-                    attempts=attempt,
+            rerun = _run_in_process(cells[index], index, attempt)
+            if index in crashed and not rerun.ok:
+                rerun = replace(
+                    rerun, failure=replace(rerun.failure, kind="crash")
                 )
-                outcomes[index] = CellResult(
-                    index,
-                    failure=CellFailure(index, "timeout", error, attempt),
-                    attempts=attempt,
-                    duration_s=time.perf_counter() - started,
-                )
-            except Exception as exc:
-                # The cell itself raised inside the worker.
-                outcomes[index] = CellResult(
-                    index,
-                    failure=CellFailure(index, "error", exc, attempt),
-                    attempts=attempt,
-                    duration_s=time.perf_counter() - started,
-                )
-            else:
-                outcomes[index] = CellResult(
-                    index, value=value, attempts=attempt,
-                    duration_s=time.perf_counter() - started,
-                )
+            outcomes[index] = rerun
     finally:
         pool.shutdown(wait=not broken, cancel_futures=True)
     return outcomes
@@ -353,7 +408,9 @@ def run_cells_detailed(
 ) -> List[CellResult]:
     """Run every cell; one :class:`CellResult` per cell, submission order.
 
-    ``timeout_s`` bounds the wait for each cell's result (pool mode only);
+    ``timeout_s`` bounds each cell's time from its dispatch to a worker to
+    its result (pool mode only; at most one cell per worker is in flight,
+    so no cell's deadline runs while it waits for a free worker);
     ``retries`` re-runs failed cells up to that many extra attempts, sleeping
     ``backoff_s * 2**(attempt-1)`` seconds before each retry; ``fail_fast``
     raises :class:`~repro.errors.CellExecutionError` for the first cell whose
@@ -383,8 +440,11 @@ def run_cells_detailed(
 
     ``cancel`` is a :class:`threading.Event`: once set, cells that have not
     started are resolved as ``"cancelled"`` failures (in-flight cells finish
-    normally, and nothing is retried after cancellation). Every cell still
-    gets exactly one result — cancellation reports, it never drops.
+    normally, and nothing is retried after cancellation). This holds on
+    every path: the serial ramp stops, a cancel that lands during the ramp
+    dispatches no pool batch, and a pool batch submits no further cell.
+    Every cell still gets exactly one result — cancellation reports, it
+    never drops.
 
     ``pool_threshold_s`` guards against pool spin-up dwarfing the work
     (tens of ms of fork + import for a sweep of sub-millisecond cells):
@@ -496,7 +556,9 @@ def run_cells_detailed(
                 settle(index, _run_in_process(cells[index], index, attempt))
             if not remaining:
                 pooled = False
-        if remaining and pooled:
+        if remaining and pooled and not (cancel is not None and cancel.is_set()):
+            # A cancel that lands during the ramp dispatches no pool batch:
+            # the loop below resolves the rest as cancelled.
             pool_batch = _run_batch_pooled(
                 cells, remaining, workers, timeout_s, attempt, cancel
             )

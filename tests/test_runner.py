@@ -7,6 +7,7 @@ order. The Figure 3 / Table 2 tests below assert it on the real pipelines.
 """
 
 import os
+import threading
 import time
 
 import pytest
@@ -145,6 +146,17 @@ def _sleep_then_return(x, duration_s=0.0):
     return x
 
 
+#: Cancel event of the ramp hand-off test. Module-level, because a
+#: threading.Event cannot be pickled and the cells must stay pool-eligible.
+_RAMP_CANCEL = threading.Event()
+
+
+def _trip_ramp_cancel_then_sleep(x, duration_s=0.0):
+    _RAMP_CANCEL.set()
+    time.sleep(duration_s)
+    return x
+
+
 def _fail_until_marker(x, marker=None):
     # Fails once per marker file, then succeeds — a deterministic flake.
     if marker is not None and not os.path.exists(marker):
@@ -224,6 +236,28 @@ class TestSerialRamp:
         cells = [Cell(_sleep_then_return, (x,), dict(duration_s=0.03)) for x in range(6)]
         out = run_cells(cells, jobs=3, pool_threshold_s=0.05)
         assert out == list(range(6))
+
+    def test_cancel_in_ramp_dispatches_no_pool(self, monkeypatch):
+        # The first cell sets the cancel event while it runs in the serial
+        # ramp, then overruns the threshold. The rest must resolve as
+        # cancelled in-process: no pool is built for cells nobody wants.
+        self._forbid_pool(monkeypatch)
+        _RAMP_CANCEL.clear()
+        cells = [
+            Cell(_trip_ramp_cancel_then_sleep, (0,), dict(duration_s=0.1))
+        ] + [Cell(_square, (x,)) for x in range(1, 5)]
+        arrived = []
+        detailed = run_cells_detailed(
+            cells, jobs=2, cache=None, cancel=_RAMP_CANCEL,
+            on_result=arrived.append,
+        )
+        assert detailed[0].ok and detailed[0].value == 0
+        assert all(
+            result.failure is not None
+            and result.failure.kind == "cancelled"
+            for result in detailed[1:]
+        )
+        assert sorted(result.index for result in arrived) == list(range(5))
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import asyncio
 import os
 import threading
+import time
 
 from repro.runner import Cell
 from repro.service.bridge import run_cells_streamed
@@ -56,6 +57,23 @@ def _boom_and_record(path, x):
 def _trip_then_return(event, x):
     event.set()
     return x
+
+
+def _mark_then_sleep(x, duration_s, marker=None):
+    # ``marker`` is written once the cell runs in a worker: the parent-side
+    # trigger waits for it, so the cancel lands while this cell is running.
+    if marker is not None:
+        with open(marker, "w") as handle:
+            handle.write("started")
+    time.sleep(duration_s)
+    return x
+
+
+def _cancel_when_marked(marker, cancel, limit_s=30.0):
+    deadline = time.monotonic() + limit_s
+    while not os.path.exists(marker) and time.monotonic() < deadline:
+        time.sleep(0.005)
+    cancel.set()
 
 
 def _calls(path):
@@ -168,6 +186,34 @@ class TestCancellation:
         assert returned[0].failure.kind == "cancelled"
         assert returned[1].ok and returned[1].value == 1
         assert len(arrived) == 2
+
+    def test_cancel_on_pool_path_stops_undispatched_cells(self, tmp_path):
+        # The pool path (no serial ramp): two workers run cells 0 and 1
+        # when a parent-side thread sets the cancel event. Those two
+        # finish normally; the four cells no worker has started resolve
+        # as cancelled instead of running afterwards.
+        marker = str(tmp_path / "started")
+        cancel = threading.Event()
+        cells = [Cell(_mark_then_sleep, (0, 0.5), dict(marker=marker))] + [
+            Cell(_mark_then_sleep, (x, 0.5)) for x in range(1, 6)
+        ]
+        trigger = threading.Thread(
+            target=_cancel_when_marked, args=(marker, cancel), daemon=True
+        )
+        trigger.start()
+        arrived, returned, _ = _streamed(
+            cells, jobs=2, pool_threshold_s=0, cache=None, cancel=cancel
+        )
+        trigger.join()
+        assert [result.value for result in returned[:2]] == [0, 1]
+        assert all(result.ok for result in returned[:2])
+        assert all(
+            result.failure is not None
+            and result.failure.kind == "cancelled"
+            for result in returned[2:]
+        )
+        assert sorted(result.index for result in arrived) == list(range(6))
+        assert len(arrived) == 6        # exactly once per cell
 
 
 class TestStreamingContract:
