@@ -110,10 +110,13 @@ def bench_runner_ramp_tiny_cells(benchmark, record_timing):
 
     This was a ~19x regression before the ramp — two sub-millisecond
     cells paid a full process-pool spawn. Now ``jobs=2`` on a cheap batch
-    must cost about what ``jobs=1`` does.
+    must cost about what ``jobs=1`` does. The ramp runs only while the
+    process has no warm pool, so the one an earlier bench left is stopped
+    first.
     """
-    from repro.runner import Cell, run_cells
+    from repro.runner import Cell, run_cells, shutdown_pool
 
+    shutdown_pool()
     cells = [Cell(_tiny_cell, (x,)) for x in range(2)]
 
     def run():

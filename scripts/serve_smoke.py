@@ -10,11 +10,16 @@ Exercises the full daemon lifecycle the way CI and a developer would:
 4. shut the daemon down through the protocol and assert a clean exit:
    exit code 0, socket unlinked, no orphaned worker processes.
 
+The daemon runs with ``--jobs 2 --timeout 60``: a per-cell timeout sends
+every cell to the runner's worker pool, so the pool is built even on one
+CPU, and its workers are the processes step 4 watches for.
+
 Run via ``make serve-smoke`` (or directly)::
 
     PYTHONPATH=src python scripts/serve_smoke.py
 """
 
+import glob
 import os
 import shutil
 import subprocess
@@ -44,6 +49,28 @@ def fail(message):
     sys.exit(1)
 
 
+def children_of(pid):
+    """The PIDs of ``pid``'s child processes (empty where /proc is absent)."""
+    children = set()
+    for path in glob.glob(f"/proc/{pid}/task/*/children"):
+        try:
+            with open(path) as handle:
+                children.update(int(child) for child in handle.read().split())
+        except OSError:
+            pass
+    return children
+
+
+def still_running(pid):
+    """Is ``pid`` a live (not zombie) process?"""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state != "Z"
+
+
 def main():
     # Unix socket paths are limited to ~108 bytes, so anchor under /tmp
     # rather than wherever $TMPDIR points.
@@ -61,6 +88,7 @@ def main():
             sys.executable, "-m", "repro", "serve",
             "--socket", socket_path,
             "--artifacts-dir", os.path.join(workdir, "artifacts"),
+            "--jobs", "2", "--timeout", "60",
         ],
         env=env,
     )
@@ -79,6 +107,9 @@ def main():
         if cold.status != "done" or cold.failures:
             fail(f"cold submit: status={cold.status} failures={cold.failures}")
         cells = len(cold.results)
+        workers = children_of(server.pid)
+        if os.path.isdir("/proc") and not workers:
+            fail("no worker process under the daemon after the cold submit")
         print(
             f"serve-smoke: cold submit {cold.job_id}: {cells} cells, "
             f"{cold.hits} hits"
@@ -110,7 +141,13 @@ def main():
             fail(f"server exited with code {code} after shutdown")
         if os.path.exists(socket_path):
             fail("socket file left behind after shutdown")
-        print("serve-smoke: clean shutdown, socket unlinked")
+        orphans = sorted(pid for pid in workers if still_running(pid))
+        if orphans:
+            fail(f"worker processes outlived the daemon: {orphans}")
+        print(
+            f"serve-smoke: clean shutdown, socket unlinked, "
+            f"{len(workers)} worker(s) gone"
+        )
         return 0
     finally:
         if server.poll() is None:

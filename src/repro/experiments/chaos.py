@@ -69,7 +69,7 @@ __all__ = [
     "ChaosPoint", "SEVERITIES", "default_schedule", "run_point", "run",
     "render",
     "RecoveryPoint", "recovery_schedule", "run_recovery_point",
-    "run_recovery", "render_recovery",
+    "recovery_cells", "run_recovery", "render_recovery",
 ]
 
 #: Default severity sweep: healthy first, then deepening degradation.
@@ -548,6 +548,21 @@ def run_recovery_point(
     )
 
 
+def recovery_cells(
+    platform: Platform, seed: int = 0, transactions_per_core: int = 600
+) -> List[Cell]:
+    """The recovery comparison's cells: both backends × both arms."""
+    return [
+        Cell(
+            run_recovery_point,
+            (platform, backend, recover),
+            dict(seed=seed, transactions_per_core=transactions_per_core),
+        )
+        for backend in ("fluid", "des")
+        for recover in (False, True)
+    ]
+
+
 def run_recovery(
     platform: Platform,
     seed: int = 0,
@@ -559,17 +574,9 @@ def run_recovery(
     cache=USE_DEFAULT_CACHE,
 ) -> List[CellResult]:
     """Both backends × both recovery arms through the hardened runner."""
-    cells = [
-        Cell(
-            run_recovery_point,
-            (platform, backend, recover),
-            dict(seed=seed, transactions_per_core=transactions_per_core),
-        )
-        for backend in ("fluid", "des")
-        for recover in (False, True)
-    ]
     return run_cells_detailed(
-        cells, jobs=jobs, timeout_s=timeout_s, retries=retries,
+        recovery_cells(platform, seed, transactions_per_core),
+        jobs=jobs, timeout_s=timeout_s, retries=retries,
         fail_fast=fail_fast, cache=cache,
     )
 

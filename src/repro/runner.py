@@ -32,23 +32,36 @@ count and duration) instead of raising mid-flight, and layers on
 
 * **per-cell timeouts** (``timeout_s``) — a cell whose result does not
   arrive within ``timeout_s`` of its dispatch to a worker is recorded as a
-  timeout failure instead of hanging the whole sweep (pool mode only:
+  timeout failure, and the worker holding it is killed and replaced, so
+  the batch ends about ``timeout_s`` after that dispatch (pool mode only:
   in-process execution cannot be preempted);
 * **cancellation** (``cancel``) — once the event is set, no further cell
   is dispatched, in-process or to a worker: every cell not yet started
   resolves as a ``cancelled`` failure, and started cells finish normally;
 * **bounded retry with backoff** (``retries``, ``backoff_s``) — failed
-  cells are re-submitted to a fresh pool, with exponentially growing
+  cells are re-submitted to the same warm pool, with exponentially growing
   sleeps between attempts;
-* **crash recovery** — a worker death (``BrokenProcessPool``) poisons every
-  uncollected future, so the still-unresolved cells are re-run *in-process*,
-  exactly as ``jobs=1`` would have run them;
+* **crash recovery** — a worker death costs only the cell that worker
+  held: it re-runs *in-process*, exactly as ``jobs=1`` would have run it,
+  a replacement worker is forked into the slot, and every other in-flight
+  cell carries on;
 * **fail-fast / keep-going** — ``fail_fast=True`` raises
   :class:`~repro.errors.CellExecutionError` at the first unrecoverable
   failure; the default collects every failure and lets the caller decide.
 
 :func:`run_cells` keeps the original simple surface: values only, first
 cell failure re-raised as-is.
+
+The worker pool
+---------------
+
+One pool serves the whole process. It is forked lazily by the first
+pooled batch (never at import, so a daemon's start-up does not pay for
+it), reused by every later batch and retry, and stopped by
+:func:`shutdown_pool` at interpreter exit or when the service stops. Each
+worker is a forked process with its own pipe; the parent waits on the
+pipes and the process sentinels together, so it streams each cell's
+result the moment it lands and sees a worker die the moment it dies.
 
 Job-count resolution
 --------------------
@@ -63,14 +76,17 @@ anywhere.
 
 from __future__ import annotations
 
+import atexit
+import multiprocessing
 import os
 import pickle
+import signal
 import threading
 import time
+import traceback
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
+from multiprocessing.connection import wait
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.cache import ResultCache, cell_key, default_cache
@@ -83,6 +99,7 @@ __all__ = [
     "resolve_jobs",
     "run_cells",
     "run_cells_detailed",
+    "shutdown_pool",
     "starmap",
     "platform_map",
 ]
@@ -96,14 +113,10 @@ JobsSpec = Union[int, str, None]
 #: which means "definitely no caching").
 USE_DEFAULT_CACHE = object()
 
-#: Spinning up a process pool costs tens of milliseconds (fork + import +
-#: pickling); sweeps cheaper than this run serially instead (see
+#: Forking the process's first pool costs tens of milliseconds; sweeps
+#: cheaper than this run serially instead while no pool is warm (see
 #: ``pool_threshold_s``).
 POOL_THRESHOLD_S = 0.05
-
-#: Longest wait of a pool batch between looks at its cancel event while
-#: timed-out cells hold every worker and other cells are queued.
-_CANCEL_POLL_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -246,26 +259,157 @@ def _run_in_process(cell: Cell, index: int, attempt: int) -> CellResult:
     )
 
 
-def _collected(
-    future: Future, index: int, attempt: int, submitted: float
-) -> CellResult:
-    """The outcome of one finished pool future (``BrokenProcessPool`` raises)."""
-    try:
-        value = future.result()
-    except BrokenProcessPool:
-        raise
-    except Exception as exc:
-        # The cell itself raised inside the worker.
-        return CellResult(
-            index,
-            failure=CellFailure(index, "error", exc, attempt),
-            attempts=attempt,
-            duration_s=time.perf_counter() - submitted,
+class _RemoteTraceback(Exception):
+    """A worker-side traceback, chained as the cause of a cell's error."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+def _repro_env() -> Dict[str, str]:
+    return {k: v for k, v in os.environ.items() if k.startswith("REPRO_")}
+
+
+def _worker_main(conn: Any, parent_end: Any) -> None:
+    """A pool worker: run each ``(fn, args, kwargs, env)`` sent on ``conn``.
+
+    ``env`` is the parent's ``REPRO_*`` environment at the batch's start,
+    so a worker forked before the parent changed a switch still runs the
+    cell under the current one. Replies ``(ok, value or error, traceback
+    text)`` per cell and exits on ``None`` or when the parent's end
+    closes. Ctrl-C is the parent's to handle; SIGTERM takes its default
+    action even where the parent installed a handler (the service daemon
+    does).
+    """
+    parent_end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    while True:
+        try:
+            task = conn.recv()
+        except EOFError:
+            return
+        if task is None:
+            return
+        fn, args, kwargs, env = task
+        for key in _repro_env().keys() - env.keys():
+            del os.environ[key]
+        os.environ.update(env)
+        try:
+            reply = (True, fn(*args, **kwargs), None)
+        except Exception as exc:
+            reply = (False, exc, traceback.format_exc())
+        try:
+            conn.send(reply)
+        except Exception as exc:    # an unpicklable value or error
+            conn.send((False, exc, traceback.format_exc()))
+
+
+class _Worker:
+    """One forked worker process and the parent's end of its pipe."""
+
+    def __init__(self) -> None:
+        self.conn, child_end = _CONTEXT.Pipe()
+        self.process = _CONTEXT.Process(
+            target=_worker_main, args=(child_end, self.conn),
+            name="repro-worker", daemon=True,
         )
-    return CellResult(
-        index, value=value, attempts=attempt,
-        duration_s=time.perf_counter() - submitted,
-    )
+        try:
+            self.process.start()
+        except BaseException:
+            self.conn.close()
+            raise
+        finally:
+            child_end.close()
+
+    def kill(self) -> None:
+        self.process.kill()
+        self.process.join()
+        self.conn.close()
+
+
+class _WorkerPool:
+    """The process's warm workers, reused by every pooled batch.
+
+    Workers are forked on demand, up to the largest slot count a batch has
+    asked for, and live until :func:`shutdown_pool`. A worker that dies or
+    holds a timed-out cell is killed and replaced in its slot; the others
+    never notice.
+    """
+
+    def __init__(self) -> None:
+        self.workers: List[_Worker] = []
+
+    def grow(self, size: int) -> None:
+        while len(self.workers) < size:
+            self.workers.append(_Worker())
+
+    def replace(self, worker: _Worker) -> _Worker:
+        worker.kill()
+        fresh = _Worker()
+        self.workers[self.workers.index(worker)] = fresh
+        return fresh
+
+    def close(self) -> None:
+        for worker in self.workers:
+            try:
+                worker.conn.send(None)
+            except OSError:
+                pass
+        for worker in self.workers:
+            worker.process.join(timeout=_JOIN_S)
+            worker.kill()
+        self.workers = []
+
+
+#: Start method of the pool: fork where the platform has it, so a worker
+#: starts with the parent's imports instead of re-importing the package.
+_CONTEXT = multiprocessing.get_context(
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+)
+
+#: How long :meth:`_WorkerPool.close` waits for an idle worker to exit on
+#: its own before killing it.
+_JOIN_S = 5.0
+
+#: The shared pool (None until the first pooled batch) and the lock a
+#: batch holds while it drives it.
+_POOL: Optional[_WorkerPool] = None
+_POOL_LOCK = threading.Lock()
+
+
+def shutdown_pool(block: bool = True) -> None:
+    """Stop the shared workers; the next pooled batch forks new ones.
+
+    Runs at interpreter exit and in the service's ``stop()``. With
+    ``block=False`` it gives up, leaving the daemonic workers to
+    :mod:`multiprocessing`'s own exit handler, if a batch still holds the
+    pool.
+    """
+    global _POOL
+    if not _POOL_LOCK.acquire(blocking=block):
+        return
+    try:
+        if _POOL is not None:
+            _POOL.close()
+            _POOL = None
+    finally:
+        _POOL_LOCK.release()
+
+
+def _forget_pool() -> None:
+    # In a forked child (a new worker above all): drop the parent's pool,
+    # closing this copy of its pipe ends so a worker sees EOF when the
+    # parent goes away.
+    global _POOL, _POOL_LOCK
+    if _POOL is not None:
+        for worker in _POOL.workers:
+            worker.conn.close()
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+atexit.register(shutdown_pool, False)
+os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _run_batch_pooled(
@@ -274,123 +418,136 @@ def _run_batch_pooled(
     workers: int,
     timeout_s: Optional[float],
     attempt: int,
+    settle: Callable[[int, CellResult], None],
     cancel: Optional[threading.Event] = None,
-) -> Optional[Dict[int, CellResult]]:
-    """Run ``indices`` in one worker pool; None if no pool can be created.
+) -> bool:
+    """Run ``indices`` on the shared warm pool; False if none is available.
 
-    The pool is created fresh per attempt, so a retry after a crash or a
-    poisoned interpreter state starts clean. Dispatch is lazy: at most one
-    cell per worker is in flight, results are collected in completion
-    order, and the next cell is submitted only when a slot frees and
-    ``cancel`` is not set — so a cancel resolves every cell no worker has
-    started as ``cancelled``. (Cancelling submitted futures cannot do
-    that: the executor marks queued calls running before a worker takes
-    them, and ``Future.cancel()`` then refuses.) Each cell's ``timeout_s``
-    deadline counts from its own submission; a timed-out cell keeps its
-    slot until its worker returns, so no later cell is charged for it.
+    The pool is made on the first pooled batch and reused by every later
+    one, retries included (see :class:`_WorkerPool`). There is no pool
+    inside a pool worker, while another thread's batch holds it, or where
+    no process can be forked; the caller then runs the cells in-process.
 
-    A ``BrokenProcessPool`` switches every uncollected cell to in-process
-    execution (or ``cancelled``, once ``cancel`` is set), which preserves
-    every surviving cell's value exactly as ``jobs=1`` would compute it; a
-    cell that was in a worker when the pool broke and fails its re-run too
-    is reported as a ``crash``.
+    Dispatch is lazy: at most one cell per worker is in flight, and the
+    next is sent only when a worker frees and ``cancel`` is not set, so a
+    cancel resolves every cell no worker has started as ``cancelled``.
+    Each cell is passed to ``settle`` as soon as it resolves. Its
+    ``timeout_s`` deadline counts from its own dispatch; at the deadline
+    the worker is killed and replaced, and the cell is a ``timeout``
+    failure. A worker that dies mid-cell costs only that cell, which
+    re-runs in-process exactly as ``jobs=1`` would run it (or resolves as
+    ``cancelled``, once ``cancel`` is set); if the re-run fails too, the
+    failure is reported as a ``crash``.
     """
-    slots = min(workers, len(indices))
+    global _POOL
+    if multiprocessing.current_process().daemon:
+        return False
+    if not _POOL_LOCK.acquire(blocking=False):
+        return False
     try:
-        pool = ProcessPoolExecutor(max_workers=slots)
-    except (OSError, PermissionError):
-        # Sandboxed or fork-restricted environments: no pool at all. This —
-        # and only this — is the graceful-degradation case; errors raised
-        # *inside* a cell must never trigger it.
-        return None
-    outcomes: Dict[int, CellResult] = {}
-    queued = deque(indices)
-    in_flight: Dict[Future, Tuple[int, float]] = {}     # -> (index, submitted)
-    overdue: set = set()        # timed out, still holding a worker
-    broken = False
-    try:
-        while True:
+        if _POOL is None:
+            _POOL = _WorkerPool()
+        pool = _POOL
+        slots = min(workers, len(indices))
+        try:
+            pool.grow(slots)
+        except OSError:
+            # Sandboxed or fork-restricted environments. This, and only
+            # this, is the graceful-degradation case; errors raised
+            # *inside* a cell never trigger it.
+            if not pool.workers:
+                return False
+        env = _repro_env()
+        queued = deque(indices)
+        idle = pool.workers[:slots]
+        busy: Dict[_Worker, Tuple[int, float]] = {}  # -> (index, dispatched)
+
+        def crashed(worker: _Worker, index: int) -> None:
+            idle.append(pool.replace(worker))
             if cancel is not None and cancel.is_set():
-                while queued:
-                    index = queued.popleft()
-                    outcomes[index] = _cancelled_result(index, attempt)
-            while queued and len(in_flight) < slots:
-                index = queued.popleft()
-                cell = cells[index]
-                future = pool.submit(cell.fn, *cell.args, **cell.kwargs)
-                in_flight[future] = (index, time.perf_counter())
-            live = [f for f in in_flight if f not in overdue]
-            if not live and not queued:
-                break
-            budget = None
-            if live and timeout_s is not None:
-                first = min(in_flight[f][1] for f in live)
-                budget = max(0.0, first + timeout_s - time.perf_counter())
-            elif not live and cancel is not None:
-                # Overdue cells hold every slot: wake now and then to notice
-                # a cancel meant for the queued cells.
-                budget = _CANCEL_POLL_S
-            done, _ = wait(in_flight, timeout=budget, return_when=FIRST_COMPLETED)
-            for future in done:
-                index, submitted = in_flight[future]
-                if future in overdue:
-                    overdue.discard(future)
-                else:
-                    outcomes[index] = _collected(
-                        future, index, attempt, submitted
-                    )
-                del in_flight[future]
-            if timeout_s is None:
-                continue
-            now = time.perf_counter()
-            for future, (index, submitted) in in_flight.items():
-                if future in overdue or future.done():
+                settle(index, _cancelled_result(index, attempt))
+                return
+            rerun = _run_in_process(cells[index], index, attempt)
+            if not rerun.ok:
+                rerun = replace(
+                    rerun, failure=replace(rerun.failure, kind="crash")
+                )
+            settle(index, rerun)
+
+        try:
+            while queued or busy:
+                if cancel is not None and cancel.is_set():
+                    while queued:
+                        index = queued.popleft()
+                        settle(index, _cancelled_result(index, attempt))
+                while queued and idle:
+                    worker, index = idle.pop(), queued.popleft()
+                    cell = cells[index]
+                    try:
+                        worker.conn.send((cell.fn, cell.args, cell.kwargs, env))
+                    except OSError:
+                        crashed(worker, index)
+                        continue
+                    busy[worker] = (index, time.perf_counter())
+                if not busy:
                     continue
-                if now - submitted >= timeout_s:
-                    overdue.add(future)
+                budget = None
+                if timeout_s is not None:
+                    first = min(dispatched for __, dispatched in busy.values())
+                    budget = max(0.0, first + timeout_s - time.perf_counter())
+                handles = {w.conn: w for w in busy}
+                handles.update({w.process.sentinel: w for w in busy})
+                ready = {handles[h] for h in wait(list(handles), budget)}
+                for worker in ready:
+                    index, dispatched = busy.pop(worker)
+                    try:
+                        ok, payload, remote = worker.conn.recv()
+                    except (EOFError, OSError):
+                        crashed(worker, index)
+                        continue
+                    except Exception as exc:    # the reply did not unpickle
+                        ok, payload, remote = False, exc, None
+                    idle.append(worker)
+                    if remote:
+                        payload.__cause__ = _RemoteTraceback(remote)
+                    settle(index, CellResult(
+                        index,
+                        value=payload if ok else None,
+                        failure=(
+                            None if ok
+                            else CellFailure(index, "error", payload, attempt)
+                        ),
+                        attempts=attempt,
+                        duration_s=time.perf_counter() - dispatched,
+                    ))
+                if timeout_s is None:
+                    continue
+                now = time.perf_counter()
+                for worker, (index, dispatched) in list(busy.items()):
+                    if now - dispatched < timeout_s or worker.conn.poll():
+                        continue
+                    del busy[worker]
+                    idle.append(pool.replace(worker))
                     error = CellExecutionError(
                         f"cell {index} produced no result within {timeout_s}s",
                         cell_index=index,
                         attempts=attempt,
                     )
-                    outcomes[index] = CellResult(
+                    settle(index, CellResult(
                         index,
                         failure=CellFailure(index, "timeout", error, attempt),
                         attempts=attempt,
-                        duration_s=now - submitted,
-                    )
-    except BrokenProcessPool:
-        # A worker died (OOM kill, segfault, os._exit) and poisoned every
-        # uncollected future: re-run the rest in-process. For a cell that
-        # was in a worker, a failed re-run reports the worker death — the
-        # context that matters for it.
-        broken = True
-        crashed = set()
-        for future, (index, submitted) in in_flight.items():
-            if index in outcomes:
-                continue
-            if future.done() and not isinstance(
-                future.exception(), BrokenProcessPool
-            ):
-                # It finished before the pool broke: its own outcome stands.
-                outcomes[index] = _collected(future, index, attempt, submitted)
-            else:
-                crashed.add(index)
-        for index in indices:
-            if index in outcomes:
-                continue
-            if cancel is not None and cancel.is_set():
-                outcomes[index] = _cancelled_result(index, attempt)
-                continue
-            rerun = _run_in_process(cells[index], index, attempt)
-            if index in crashed and not rerun.ok:
-                rerun = replace(
-                    rerun, failure=replace(rerun.failure, kind="crash")
-                )
-            outcomes[index] = rerun
+                        duration_s=now - dispatched,
+                    ))
+        finally:
+            # Left early (an exception, e.g. from ``settle``): a worker
+            # still holding a cell would hand its stale reply to the next
+            # batch.
+            for worker in busy:
+                pool.replace(worker)
+        return True
     finally:
-        pool.shutdown(wait=not broken, cancel_futures=True)
-    return outcomes
+        _POOL_LOCK.release()
 
 
 def run_cells_detailed(
@@ -447,13 +604,14 @@ def run_cells_detailed(
     never drops.
 
     ``pool_threshold_s`` guards against pool spin-up dwarfing the work
-    (tens of ms of fork + import for a sweep of sub-millisecond cells):
-    cells run in-process until their *accumulated measured* runtime crosses
-    the threshold, and only the remainder is fanned out to a pool. Tiny
-    sweeps therefore never pay for a pool; the worst case versus eager
-    pooling is bounded by the threshold plus one cell. Set it to 0 to pool
-    unconditionally; per-cell timeouts (which need a pool to preempt) also
-    disable the ramp.
+    (tens of ms of forking for a sweep of sub-millisecond cells): while the
+    process has no warm pool, cells run in-process until their
+    *accumulated measured* runtime crosses the threshold, and only the
+    remainder is fanned out to the pool. Tiny sweeps therefore never pay
+    for a pool; the worst case versus eager pooling is bounded by the
+    threshold plus one cell. Once the pool is warm, cells go straight to
+    its workers. Set it to 0 to pool unconditionally; per-cell timeouts
+    (which need a pool to preempt) also disable the ramp.
     """
     if timeout_s is not None and timeout_s <= 0:
         raise ConfigurationError(f"timeout_s must be positive, got {timeout_s}")
@@ -543,6 +701,7 @@ def run_cells_detailed(
             and attempt == 1
             and timeout_s is None
             and pool_threshold_s > 0
+            and not (_POOL and _POOL.workers)
         ):
             # Serial ramp: see the docstring. Measured, not guessed — the
             # first cells' actual cost decides whether a pool is worth it.
@@ -559,15 +718,12 @@ def run_cells_detailed(
         if remaining and pooled and not (cancel is not None and cancel.is_set()):
             # A cancel that lands during the ramp dispatches no pool batch:
             # the loop below resolves the rest as cancelled.
-            pool_batch = _run_batch_pooled(
-                cells, remaining, workers, timeout_s, attempt, cancel
-            )
-            if pool_batch is None:
-                pooled = False
-            else:
-                for index in remaining:
-                    settle(index, pool_batch[index])
+            if _run_batch_pooled(
+                cells, remaining, workers, timeout_s, attempt, settle, cancel
+            ):
                 remaining = []
+            else:
+                pooled = False
         for index in remaining:
             if cancel is not None and cancel.is_set():
                 settle(index, _cancelled_result(index, attempt))
@@ -619,8 +775,8 @@ def run_cells(
 ) -> List[Any]:
     """Run every cell; results come back in submission order.
 
-    With ``jobs > 1`` the cells execute in worker processes
-    (``ProcessPoolExecutor``); exceptions raised inside a cell propagate to
+    With ``jobs > 1`` the cells execute in the shared worker pool;
+    exceptions raised inside a cell propagate to
     the caller either way (after ``retries`` extra attempts, if configured).
     Worker crashes are recovered transparently by re-running the affected
     cells in-process; timeouts surface as

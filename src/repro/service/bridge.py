@@ -9,9 +9,9 @@ thread and every *final* per-cell result hops back onto the loop through
 way as a plain :class:`threading.Event` the runner polls between cells
 and attempts.
 
-Pool crashes need no special path here: the hardened runner recovers
-``BrokenProcessPool`` in-process and surfaces the damage as per-cell
-``crash`` failures, which stream like any other cell event.
+Worker deaths need no special path here: the hardened runner re-runs
+the dead worker's cell in-process and surfaces a failed re-run as a
+per-cell ``crash`` failure, which streams like any other cell event.
 """
 
 from __future__ import annotations

@@ -15,8 +15,10 @@ experiment layers:
   (:func:`repro.experiments.netstack.run_point`), one cell per
   (backend, arm);
 * ``chaos`` — the graceful-degradation severity sweep
-  (:func:`repro.experiments.chaos.run_point`), one cell per severity,
-  optionally with the fault-reactive recovery layer enabled per job;
+  (:func:`repro.experiments.chaos.run_point`), one cell per severity;
+  the ``recovery`` variant appends the four recovery-comparison cells
+  (:func:`repro.experiments.chaos.run_recovery_point`) and their table,
+  as ``repro chaos --recover`` does;
 * ``trace`` — the span-traced cells
   (:mod:`repro.experiments.trace`), whose values carry
   :class:`~repro.trace.TraceRecording` artifacts the server exports as
@@ -31,8 +33,9 @@ experiment layers:
   platform comes from its generated topology.
 
 The execution *variant* (the recovery layer) is carried in the spec, not
-in the server's environment: :func:`variant_raws` exposes it as the raw
-string :func:`repro.cache.cell_key` folds into content keys, and
+in the server's environment: it decides which cells a ``chaos`` job runs,
+:func:`variant_raws` exposes it as the raw string
+:func:`repro.cache.cell_key` folds into content keys, and
 :func:`apply_variants` applies it to ``os.environ`` only for the duration
 of one (serialized) batch execution.
 """
@@ -387,9 +390,9 @@ def build_cells(spec: Dict[str, Any]) -> List[Cell]:
             for arm in params["arms"]
         ]
     if spec["kind"] == "chaos":
-        from repro.experiments.chaos import run_point
+        from repro.experiments.chaos import recovery_cells, run_point
 
-        return [
+        cells = [
             Cell(
                 run_point,
                 (platform, severity),
@@ -400,6 +403,9 @@ def build_cells(spec: Dict[str, Any]) -> List[Cell]:
             )
             for severity in params["severities"]
         ]
+        if spec["variants"]["recovery"]:
+            cells += recovery_cells(platform, seed)
+        return cells
     if spec["kind"] == "kvstore":
         from repro.experiments.kvserve import arms_for, run_point
 
@@ -463,9 +469,13 @@ def render_results(spec: Dict[str, Any], results: Sequence[CellResult]) -> str:
 
         return render(platform.name, results)
     if spec["kind"] == "chaos":
-        from repro.experiments.chaos import render
+        from repro.experiments.chaos import render, render_recovery
 
-        return render(platform.name, results)
+        sweep = len(spec["params"]["severities"])
+        text = render(platform.name, results[:sweep])
+        if spec["variants"]["recovery"]:
+            text += "\n\n" + render_recovery(platform.name, results[sweep:])
+        return text
     if spec["kind"] == "kvstore":
         from repro.experiments.kvserve import render
 

@@ -15,6 +15,8 @@ One :class:`ReproService` owns:
   (:func:`repro.service.registry.apply_variants`), so two batches with
   different variants must never overlap. Parallelism lives
   *inside* a batch (the runner's ``--jobs`` fan-out), not across batches;
+  the runner's worker pool is forked by the first job that needs it,
+  stays warm across jobs, and is stopped by :meth:`ReproService.stop`;
 * a shared warm :class:`repro.cache.ResultCache`: submissions are probed
   against it (without charging hits) so clients learn up front how much
   of a job is already satisfied, per-job hit/miss deltas are persisted
@@ -37,7 +39,7 @@ import time
 from typing import Any, Dict, Optional, Set
 
 from repro.errors import ConfigurationError, ProtocolError, ServiceError
-from repro.runner import CellResult, USE_DEFAULT_CACHE
+from repro.runner import CellResult, USE_DEFAULT_CACHE, shutdown_pool
 from repro.service import protocol
 from repro.service.protocol import (
     DEFAULT_SOCKET,
@@ -160,7 +162,8 @@ class ReproService:
 
     async def stop(self) -> None:
         """Graceful shutdown: reject new work, cancel queued + running jobs,
-        flush every connection, unlink the socket, release the executor."""
+        flush every connection, unlink the socket, release the executor
+        and stop the runner's worker pool."""
         if self._stopping.is_set():
             await self._finished.wait()
             return
@@ -182,6 +185,7 @@ class ReproService:
         for connection in list(self._connections):
             await self._close_connection(connection)
         self._executor.shutdown(wait=True)
+        shutdown_pool()
         try:
             os.unlink(self.socket_path)
         except OSError:

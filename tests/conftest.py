@@ -1,4 +1,5 @@
-"""Shared fixtures: the two paper platforms, built once per session."""
+"""Shared fixtures: the two paper platforms, built once per session, and
+a clean runner worker pool for the tests that watch it."""
 
 import os
 
@@ -29,6 +30,21 @@ def pytest_addoption(parser):
 def update_goldens(request):
     """True when the run should rewrite golden snapshots, not check them."""
     return request.config.getoption("--update-goldens")
+
+
+@pytest.fixture()
+def fresh_pool():
+    """No shared runner worker pool when the test starts or after it ends.
+
+    For tests that forbid or force building the pool, or kill its
+    workers: a pool left warm by an earlier test would skip the serial
+    ramp and the construction they watch for.
+    """
+    from repro.runner import shutdown_pool
+
+    shutdown_pool()
+    yield
+    shutdown_pool()
 
 
 @pytest.fixture(scope="session")

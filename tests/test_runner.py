@@ -171,16 +171,19 @@ def test_oserror_inside_cell_propagates():
     # a sandboxed pool and silently re-ran every cell in-process. It must
     # surface like any other cell error.
     cells = [Cell(_square, (2,)), Cell(_raise_oserror, (1,))]
-    with pytest.raises(OSError, match="dead file"):
+    with pytest.raises(OSError, match="dead file") as excinfo:
         run_cells(cells, jobs=2, pool_threshold_s=0)
+    # The worker's traceback travels with the error as its cause.
+    assert "_raise_oserror" in str(excinfo.value.__cause__)
     with pytest.raises(OSError, match="dead file"):
         run_cells(cells, jobs=1)
 
 
+@pytest.mark.usefixtures("fresh_pool")
 def test_worker_crash_recovers_all_cells():
-    # A worker dying mid-batch (BrokenProcessPool) must not lose anything:
-    # affected cells re-run in-process and the results match a clean
-    # jobs=1 run bit-for-bit.
+    # A worker dying mid-batch must not lose anything: affected cells
+    # re-run in-process and the results match a clean jobs=1 run
+    # bit-for-bit.
     # pool_threshold_s=0 forces pooling — these cells are far too cheap for
     # the adaptive serial ramp to ever hand them to workers otherwise.
     cells = [Cell(_crash_worker_if_odd, (x,)) for x in range(6)]
@@ -189,6 +192,7 @@ def test_worker_crash_recovers_all_cells():
     assert pooled == serial == [x * x for x in range(6)]
 
 
+@pytest.mark.usefixtures("fresh_pool")
 def test_worker_crash_with_failing_rerun_reports_crash():
     # When the in-process re-run after a worker death fails too, the
     # failure carries the crash context.
@@ -200,6 +204,7 @@ def test_worker_crash_with_failing_rerun_reports_crash():
     assert isinstance(detailed[0].failure.error, RuntimeError)
 
 
+@pytest.mark.usefixtures("fresh_pool")
 class TestSerialRamp:
     """The adaptive serial ramp: cheap batches never pay pool startup."""
 
@@ -209,7 +214,7 @@ class TestSerialRamp:
         def explode(*args, **kwargs):
             raise AssertionError("process pool constructed for a cheap batch")
 
-        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", explode)
+        monkeypatch.setattr(runner_module, "_WorkerPool", explode)
 
     def test_cheap_cells_never_touch_the_pool(self, monkeypatch):
         self._forbid_pool(monkeypatch)
@@ -276,6 +281,85 @@ def test_per_cell_timeout_isolates_slow_cell():
     assert not detailed[1].ok
     assert detailed[1].failure.kind == "timeout"
     assert isinstance(detailed[1].failure.error, CellExecutionError)
+
+
+def _where_after(duration_s):
+    time.sleep(duration_s)
+    return _in_worker()
+
+
+def _worker_pid(duration_s=0.0):
+    time.sleep(duration_s)
+    return os.getpid()
+
+
+@pytest.mark.usefixtures("fresh_pool")
+def test_worker_crash_costs_only_its_own_cell():
+    # Cell 1 kills its worker while cell 0 is still running in the other
+    # one. Only cell 1 re-runs in-process: cell 0's value still comes
+    # from its worker.
+    cells = [Cell(_where_after, (0.5,)), Cell(_crash_worker_if_odd, (1,))]
+    detailed = run_cells_detailed(cells, jobs=2, pool_threshold_s=0, cache=None)
+    assert detailed[0].ok and detailed[0].value is True
+    assert detailed[1].ok and detailed[1].value == 1
+
+
+@pytest.mark.usefixtures("fresh_pool")
+def test_timeout_replaces_only_the_hung_worker():
+    cells = [Cell(_worker_pid, (30.0,)), Cell(_worker_pid)]
+    started = time.perf_counter()
+    detailed = run_cells_detailed(cells, jobs=2, timeout_s=0.5, cache=None)
+    assert time.perf_counter() - started < 3.0
+    assert detailed[0].failure.kind == "timeout"
+    survivor = detailed[1].value
+    # The next batch finds the untouched worker and the hung one's
+    # replacement, both warm.
+    after = run_cells_detailed(
+        [Cell(_worker_pid, (0.2 + x / 100,)) for x in range(2)],
+        jobs=2, pool_threshold_s=0, cache=None,
+    )
+    pids = {result.value for result in after}
+    assert survivor in pids and len(pids) == 2
+
+
+def _env_value(name):
+    return os.environ.get(name)
+
+
+def test_warm_workers_see_the_current_repro_environment(monkeypatch):
+    # Workers forked before a REPRO_* switch changed must still run each
+    # cell under the parent's current value, as a freshly forked pool
+    # would.
+    cells = [Cell(_env_value, ("REPRO_TEST_SWITCH",)) for _ in range(2)]
+    monkeypatch.delenv("REPRO_TEST_SWITCH", raising=False)
+    assert run_cells(cells, jobs=2, pool_threshold_s=0, cache=None) == [
+        None, None,
+    ]
+    monkeypatch.setenv("REPRO_TEST_SWITCH", "on")
+    assert run_cells(cells, jobs=2, pool_threshold_s=0, cache=None) == [
+        "on", "on",
+    ]
+    monkeypatch.delenv("REPRO_TEST_SWITCH")
+    assert run_cells(cells, jobs=2, pool_threshold_s=0, cache=None) == [
+        None, None,
+    ]
+
+
+def test_pool_streams_each_result_as_it_lands():
+    # A slow cell first, fast cells behind it on the other worker: each
+    # fast result must reach on_result before the slow cell finishes, not
+    # when the whole pool batch returns.
+    arrived = []
+    cells = [Cell(_sleep_then_return, (0,), dict(duration_s=1.0))] + [
+        Cell(_sleep_then_return, (x,)) for x in range(1, 6)
+    ]
+    detailed = run_cells_detailed(
+        cells, jobs=2, pool_threshold_s=0, cache=None,
+        on_result=arrived.append,
+    )
+    assert [result.value for result in detailed] == list(range(6))
+    assert [result.index for result in arrived][-1] == 0
+    assert sorted(result.index for result in arrived) == list(range(6))
 
 
 def test_retry_recovers_transient_failure(tmp_path):

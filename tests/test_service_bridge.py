@@ -4,8 +4,8 @@ The service runs every batch through
 :func:`repro.service.bridge.run_cells_streamed` — the hardened runner on
 a worker thread, each final :class:`CellResult` hopping back onto the
 event loop via ``call_soon_threadsafe``. These tests drive that exact
-seam with hostile cells: workers killed mid-batch (``BrokenProcessPool``
-recovery), cancellation tripped between cells, and in-batch duplicates —
+seam with hostile cells: workers killed mid-batch (in-process re-runs
+of the dead workers' cells), cancellation tripped between cells, and in-batch duplicates —
 asserting the service-facing contract that *every* submitted cell yields
 exactly one streamed result, whatever happens to the pool.
 """
@@ -16,6 +16,8 @@ import asyncio
 import os
 import threading
 import time
+
+import pytest
 
 from repro.runner import Cell
 from repro.service.bridge import run_cells_streamed
@@ -98,9 +100,10 @@ def _streamed(cells, **runner_kwargs):
     return arrived, returned, loop_thread[0]
 
 
+@pytest.mark.usefixtures("fresh_pool")
 class TestCrashRecovery:
     def test_pool_killed_mid_batch_loses_nothing(self):
-        # Workers die on every odd cell (BrokenProcessPool); the runner
+        # Workers die on every odd cell; the runner
         # re-runs the damage in-process. Through the bridge the service
         # must still see one final result per cell — all successful here,
         # because the re-run succeeds outside a worker.

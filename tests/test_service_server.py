@@ -127,6 +127,77 @@ class TestEndToEnd:
             render_results(normalize_spec(spec), local)
 
 
+    def test_recovery_variant_adds_the_recovery_table(self, service_dir):
+        # The variant must change what runs, not only the cache key: the
+        # served output is `repro chaos --recover`'s, recovery table and
+        # all, and identical to the local fallback.
+        from repro.experiments import chaos
+        from repro.platform.presets import synthetic_ucie
+
+        spec = {
+            "kind": "chaos",
+            "platform": "synthetic",
+            "params": {"severities": [0.5], "transactions_per_core": 40},
+            "variants": {"recovery": True},
+        }
+        local = submit_or_local(spec, prefer_local=True, cache=None)
+        with _service(service_dir):
+            with ServiceClient(_sock(service_dir)) as client:
+                served = client.submit(spec)
+        assert served.status == "done" and served.failures == 0
+        assert served.render() == local.render()
+        platform = synthetic_ucie()
+        sweep = chaos.run(
+            platform, severities=(0.5,), transactions_per_core=40,
+            jobs=1, cache=None,
+        )
+        recovery = chaos.run_recovery(platform, jobs=1, cache=None)
+        assert served.render() == (
+            chaos.render(platform.name, sweep) + "\n\n"
+            + chaos.render_recovery(platform.name, recovery)
+        )
+        assert "Chaos recovery" in served.render()
+        plain = submit_or_local(
+            dict(spec, variants={"recovery": False}),
+            prefer_local=True, cache=None,
+        )
+        assert "Chaos recovery" not in plain.render()
+
+
+class TestWarmPool:
+    """One worker pool serves every job of a daemon, then stops with it."""
+
+    def test_reused_workers_match_jobs_1_bit_for_bit(self, service_dir):
+        # Caching off, and a timeout so every cell goes to the workers:
+        # the second job runs on workers the first one already used.
+        spec = _spec(arms=("off", "credits"))
+        expected = run_local(normalize_spec(spec), jobs=1, cache=None)
+        with _service(service_dir, cache=None, jobs=2, timeout_s=60.0):
+            with ServiceClient(_sock(service_dir)) as client:
+                first = client.submit(spec)
+                second = client.submit(spec)
+        for outcome in (first, second):
+            assert outcome.status == "done" and outcome.failures == 0
+            # repr round-trips every float exactly (and NaN equals NaN).
+            assert [repr(r.value) for r in outcome.results] == [
+                repr(r.value) for r in expected
+            ]
+            assert outcome.render() == render_results(
+                normalize_spec(spec), expected
+            )
+
+    def test_no_worker_outlives_stop(self, service_dir):
+        import multiprocessing
+
+        with _service(service_dir, cache=None, jobs=2, timeout_s=60.0):
+            with ServiceClient(_sock(service_dir)) as client:
+                assert client.submit(_spec()).status == "done"
+            workers = multiprocessing.active_children()
+            assert workers
+        assert not any(worker.is_alive() for worker in workers)
+        assert multiprocessing.active_children() == []
+
+
 class TestOps:
     def test_ping_and_availability(self, service_dir):
         assert not server_available(_sock(service_dir))
